@@ -29,7 +29,7 @@ zc::FieldRef read_f32(const std::filesystem::path& path, const zc::Dims3& dims) 
         throw std::runtime_error("read_f32: size mismatch for " + path.string());
     }
     in.seekg(0);
-    // Stage straight into an aligned pooled slab: the sealed ref feeds
+    // Stage straight into an aligned slab: the sealed ref feeds
     // requests and kernel launches without another copy.
     zc::FieldBuffer staging(dims);
     in.read(reinterpret_cast<char*>(staging.data().data()),

@@ -1,7 +1,6 @@
 #pragma once
 
 #include "vgpu/vgpu.hpp"
-#include "zc/field_buffer.hpp"
 #include "zc/metrics_config.hpp"
 #include "zc/report.hpp"
 #include "zc/tensor.hpp"
@@ -33,12 +32,5 @@ struct MozcResult {
 /// without the FIFO buffer, re-reducing every window's slices.
 [[nodiscard]] MozcResult assess(vgpu::Device& dev, const zc::Tensor3f& orig,
                                 const zc::Tensor3f& dec, const zc::MetricsConfig& cfg);
-
-/// Data-plane entry point: assess ref-counted field views directly. moZC
-/// re-uploads per metric by design, so this simply borrows the payloads.
-[[nodiscard]] inline MozcResult assess(vgpu::Device& dev, const zc::FieldRef& orig,
-                                       const zc::FieldRef& dec, const zc::MetricsConfig& cfg) {
-    return assess(dev, orig.view(), dec.view(), cfg);
-}
 
 }  // namespace cuzc::mozc

@@ -416,7 +416,7 @@ void encode_request_into(Writer& w, const serve::AssessRequest& req) {
 
 /// Turn a raw little-endian float run from f32_raw into a FieldRef:
 /// aliased in place (pinned by `slab`) when the run is element-aligned on
-/// a little-endian host, copied into a pooled slab otherwise. The caller
+/// a little-endian host, copied into an aligned slab otherwise. The caller
 /// has already validated `raw.size() == dims.volume() * sizeof(float)`.
 [[nodiscard]] zc::FieldRef field_from_raw(std::span<const std::uint8_t> raw,
                                           const zc::Dims3& dims,
@@ -709,7 +709,7 @@ void FrameAssembler::migrate(std::size_t cap) {
         zc::data_plane_note_copy(live);
     }
     // Pinned views keep the old slab alive through their own handles; it
-    // returns to the pool when the last one drops.
+    // is freed when the last one drops.
     slab_ = std::move(fresh);
     consumed_ = kSkew;
     end_ = kSkew + live;
@@ -717,7 +717,10 @@ void FrameAssembler::migrate(std::size_t cap) {
 
 void FrameAssembler::ensure_room(std::size_t n) {
     if (!slab_) {
-        slab_ = zc::SlabHandle::acquire(kSkew + std::max<std::size_t>(n, 4096));
+        // Slabs are sized exactly, so leave headroom for the rest of the
+        // frame: a first slab that only just fits the first recv would
+        // migrate (copy) on the next one.
+        slab_ = zc::SlabHandle::acquire(kSkew + 2 * std::max<std::size_t>(n, 4096));
         consumed_ = end_ = kSkew;
         return;
     }
@@ -771,7 +774,7 @@ void FrameAssembler::compact() {
         // Drained: park the cursor back at kSkew so the next frame starts
         // at the aligned-decode offset. When delivered views still pin the
         // slab the region below the cursor is live — swap in a fresh
-        // pooled slab (same capacity, nothing to copy) instead.
+        // slab (same capacity, nothing to copy) instead.
         if (pinned()) slab_ = zc::SlabHandle::acquire(slab_.capacity());
         consumed_ = end_ = kSkew;
         return;

@@ -210,7 +210,7 @@ struct StreamChunk {
 
 /// Zero-copy chunk: the slices alias the stream buffer (guarded by the
 /// assembler slab) when they land element-aligned, and are copied into
-/// pooled slabs otherwise. Shape is the flat run {1, 1, n}.
+/// aligned slabs otherwise. Shape is the flat run {1, 1, n}.
 struct StreamChunkRef {
     std::uint64_t seq = 0;
     zc::FieldRef orig;
@@ -234,7 +234,7 @@ struct StreamEnd {
 /// Zero-copy decode: the request's fields alias the payload in place
 /// (pinned by `slab`, the assembler buffer the payload lives in) whenever
 /// the float runs land 4-byte-aligned on a little-endian host; otherwise
-/// they are copied into pooled slabs (counted as data-plane copies).
+/// they are copied into aligned slabs (counted as data-plane copies).
 /// Behaviorally identical to decode_request either way.
 [[nodiscard]] serve::AssessRequest decode_request_view(std::span<const std::uint8_t> payload,
                                                        const zc::SlabHandle& slab);
@@ -334,7 +334,7 @@ private:
     /// the buffer must grow or when pinned views block in-place reuse.
     void migrate(std::size_t cap);
     std::size_t max_payload_;
-    /// Pooled slab storage; [consumed_, end_) are the valid bytes. The
+    /// Aligned slab storage; [consumed_, end_) are the valid bytes. The
     /// dead prefix is reclaimed lazily (compact) so draining many buffered
     /// frames is not quadratic in memmoves — and never reclaimed in place
     /// while delivered views still pin the slab.

@@ -1,6 +1,5 @@
 #pragma once
 
-#include "zc/field_buffer.hpp"
 #include "zc/metrics_config.hpp"
 #include "zc/report.hpp"
 #include "zc/tensor.hpp"
@@ -15,13 +14,6 @@ namespace cuzc::ompzc {
 /// `threads <= 0` uses the OpenMP default.
 [[nodiscard]] zc::AssessmentReport assess(const zc::Tensor3f& orig, const zc::Tensor3f& dec,
                                           const zc::MetricsConfig& cfg, int threads = 0);
-
-/// Data-plane entry point: assess ref-counted field views directly.
-[[nodiscard]] inline zc::AssessmentReport assess(const zc::FieldRef& orig,
-                                                 const zc::FieldRef& dec,
-                                                 const zc::MetricsConfig& cfg, int threads = 0) {
-    return assess(orig.view(), dec.view(), cfg, threads);
-}
 
 /// Individual pattern entry points for the per-pattern benchmarks
 /// (Figs. 11-12 run one pattern at a time).

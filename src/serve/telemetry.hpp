@@ -78,8 +78,8 @@ struct ServiceTelemetry {
     LatencyHistogram latency;
 
     /// Zero-copy data-plane ledger at snapshot time (process-wide:
-    /// bytes_copied, slab reuse, device adoptions, pool high-water — see
-    /// zc::data_plane_stats()).
+    /// bytes_copied, slab allocations, device adoptions, live-slab
+    /// high-water — see zc::data_plane_stats()).
     zc::DataPlaneStats data_plane;
 
     /// Pretty-printed JSON object, schema "cuzc-serve-telemetry-v2" (v2

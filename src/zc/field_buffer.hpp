@@ -3,23 +3,22 @@
 // The zero-copy data plane: ref-counted, 64-byte-aligned, immutable field
 // storage shared from socket ingest to kernel launch.
 //
-// A `Slab` is one reference-counted block of host memory — either pooled
-// aligned storage recycled through the process-wide `SlabPool`, or a
+// A `Slab` is one reference-counted block of host memory — either one
+// aligned allocation of exactly the requested size, or a
 // `std::vector<float>` adopted wholesale from a `zc::Field`. A `SlabHandle`
 // keeps a slab alive; copies are a single atomic increment. A `FieldRef`
 // is a cheap immutable view (pointer + count + dims) plus the handle that
 // guards its storage, so a field decoded in place inside a network buffer
 // can be queued, cached against, and aliased by a DeviceBuffer without a
 // single payload copy. `FieldBuffer` is the mutable staging builder: write
-// the samples into an aligned pooled slab, then `seal()` into a FieldRef.
+// the samples into an aligned slab, then `seal()` into a FieldRef.
 //
 // Ownership rules (see DESIGN.md §10):
 //   - payload bytes are immutable once a FieldRef is published; writers
 //     that must mutate (fault injection's upload corruption) copy first;
 //   - a FieldRef may outlive whatever produced it — connection teardown,
 //     stream aborts, and service drain only drop handles, never storage;
-//   - pooled slabs return to the SlabPool on the last release, so steady
-//     state ingest runs at zero allocations.
+//   - the last handle to drop frees the slab; nothing is retained.
 //
 // Everything here is header-only on purpose: vgpu::DeviceBuffer adopts
 // FieldRefs, and vgpu sits below zc in the link order.
@@ -29,9 +28,9 @@
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
-#include <mutex>
 #include <new>
 #include <span>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -43,10 +42,13 @@ namespace cuzc::zc {
 /// these as the "data_plane" block; `cuzc --profile` prints them).
 struct DataPlaneStats {
     std::uint64_t bytes_copied = 0;    ///< payload bytes moved by any copy path
-    std::uint64_t slab_allocs = 0;     ///< pooled slabs created fresh
-    std::uint64_t slab_reuses = 0;     ///< pooled slabs recycled from the free list
+    std::uint64_t slab_allocs = 0;     ///< aligned slab allocations
+    /// Always 0: slabs are freed on last release, never recycled. The field
+    /// stays so the telemetry JSON, `cuzc --profile` and benchmark readers
+    /// keep their schema.
+    std::uint64_t slab_reuses = 0;
     std::uint64_t adoptions = 0;       ///< DeviceBuffer uploads satisfied by aliasing
-    std::uint64_t pool_high_water_bytes = 0;  ///< peak bytes owned by pooled slabs
+    std::uint64_t pool_high_water_bytes = 0;  ///< peak bytes held by live aligned slabs
 };
 
 namespace detail {
@@ -54,12 +56,15 @@ namespace detail {
 struct DataPlaneCounters {
     std::atomic<std::uint64_t> bytes_copied{0};
     std::atomic<std::uint64_t> slab_allocs{0};
-    std::atomic<std::uint64_t> slab_reuses{0};
     std::atomic<std::uint64_t> adoptions{0};
-    std::atomic<std::uint64_t> pool_bytes{0};
-    std::atomic<std::uint64_t> pool_high_water{0};
+    std::atomic<std::uint64_t> live_bytes{0};
+    std::atomic<std::uint64_t> high_water{0};
     std::atomic<bool> force_copy{false};
 };
+
+// No destructor runs at exit, so handles released during static teardown
+// may still update the counters.
+static_assert(std::is_trivially_destructible_v<DataPlaneCounters>);
 
 inline DataPlaneCounters& data_plane_counters() noexcept {
     static DataPlaneCounters counters;
@@ -97,134 +102,67 @@ inline void set_data_plane_force_copy(bool on) noexcept {
     DataPlaneStats s;
     s.bytes_copied = c.bytes_copied.load(std::memory_order_relaxed);
     s.slab_allocs = c.slab_allocs.load(std::memory_order_relaxed);
-    s.slab_reuses = c.slab_reuses.load(std::memory_order_relaxed);
     s.adoptions = c.adoptions.load(std::memory_order_relaxed);
-    s.pool_high_water_bytes = c.pool_high_water.load(std::memory_order_relaxed);
+    s.pool_high_water_bytes = c.high_water.load(std::memory_order_relaxed);
     return s;
 }
 
-/// Zero the copy/reuse counters (benchmarks bracket runs with this). The
-/// pool high-water mark is reset too; retained slabs are left in place.
+/// Zero the copy/allocation counters (benchmarks bracket runs with this).
+/// The high-water mark restarts from the bytes live slabs still hold.
 inline void reset_data_plane_stats() noexcept {
     auto& c = detail::data_plane_counters();
     c.bytes_copied.store(0, std::memory_order_relaxed);
     c.slab_allocs.store(0, std::memory_order_relaxed);
-    c.slab_reuses.store(0, std::memory_order_relaxed);
     c.adoptions.store(0, std::memory_order_relaxed);
-    c.pool_high_water.store(c.pool_bytes.load(std::memory_order_relaxed),
-                            std::memory_order_relaxed);
+    c.high_water.store(c.live_bytes.load(std::memory_order_relaxed),
+                       std::memory_order_relaxed);
 }
 
-/// Alignment of pooled slab storage: one cache line, which also satisfies
+/// Alignment of slab storage: one cache line, which also satisfies
 /// every SIMD backend's widest aligned-load requirement.
 inline constexpr std::size_t kSlabAlign = 64;
 
 namespace detail {
 
-/// One ref-counted block of host storage. Pooled slabs own 64-byte-aligned
-/// bytes recycled through the SlabPool; adopted slabs wrap a vector taken
-/// from a `zc::Field` (already allocated — copying it into a pooled slab
-/// would defeat the point).
+/// One ref-counted block of host storage: either 64-byte-aligned bytes
+/// from one aligned `operator new`, or a vector adopted from a `zc::Field`
+/// (already allocated — copying it into fresh aligned storage would defeat
+/// the point). The last release frees it.
 struct Slab {
     std::atomic<std::size_t> refs{1};
     std::uint8_t* mem = nullptr;
     std::size_t cap = 0;
     std::vector<float> adopted;
-    bool pooled = false;
+    bool aligned = false;
 };
 
-/// Process-wide recycler for pooled slabs, bucketed by power-of-two
-/// capacity. Bounded: beyond the retained-bytes cap a released slab is
-/// freed instead of shelved. Intentionally leaked so handles released
-/// during static teardown never touch a destroyed pool.
-class SlabPool {
-public:
-    static SlabPool& instance() {
-        static SlabPool* pool = new SlabPool;  // leaked by design
-        return *pool;
+/// One aligned allocation of exactly `bytes`, counted in the ledger.
+[[nodiscard]] inline Slab* slab_allocate(std::size_t bytes) {
+    auto* s = new Slab;
+    s->mem = static_cast<std::uint8_t*>(::operator new(bytes, std::align_val_t{kSlabAlign}));
+    s->cap = bytes;
+    s->aligned = true;
+    auto& c = data_plane_counters();
+    c.slab_allocs.fetch_add(1, std::memory_order_relaxed);
+    const std::uint64_t now = c.live_bytes.fetch_add(bytes, std::memory_order_relaxed) + bytes;
+    std::uint64_t peak = c.high_water.load(std::memory_order_relaxed);
+    while (now > peak &&
+           !c.high_water.compare_exchange_weak(peak, now, std::memory_order_relaxed)) {
     }
-
-    [[nodiscard]] Slab* acquire(std::size_t bytes) {
-        const std::size_t cap = bucket_cap(bytes);
-        auto& c = data_plane_counters();
-        {
-            const std::lock_guard<std::mutex> lock(mu_);
-            auto& shelf = shelves_[bucket_index(cap)];
-            if (!shelf.empty()) {
-                Slab* s = shelf.back();
-                shelf.pop_back();
-                retained_bytes_ -= s->cap;
-                s->refs.store(1, std::memory_order_relaxed);
-                c.slab_reuses.fetch_add(1, std::memory_order_relaxed);
-                return s;
-            }
-        }
-        auto* s = new Slab;
-        s->mem = static_cast<std::uint8_t*>(
-            ::operator new(cap, std::align_val_t{kSlabAlign}));
-        s->cap = cap;
-        s->pooled = true;
-        c.slab_allocs.fetch_add(1, std::memory_order_relaxed);
-        const std::uint64_t now =
-            c.pool_bytes.fetch_add(cap, std::memory_order_relaxed) + cap;
-        std::uint64_t peak = c.pool_high_water.load(std::memory_order_relaxed);
-        while (now > peak &&
-               !c.pool_high_water.compare_exchange_weak(peak, now,
-                                                        std::memory_order_relaxed)) {
-        }
-        return s;
-    }
-
-    void release(Slab* s) {
-        {
-            const std::lock_guard<std::mutex> lock(mu_);
-            if (retained_bytes_ + s->cap <= kRetainedCap) {
-                retained_bytes_ += s->cap;
-                shelves_[bucket_index(s->cap)].push_back(s);
-                return;
-            }
-        }
-        destroy(s);
-    }
-
-    static void destroy(Slab* s) {
-        data_plane_counters().pool_bytes.fetch_sub(s->cap, std::memory_order_relaxed);
-        ::operator delete(s->mem, std::align_val_t{kSlabAlign});
-        delete s;
-    }
-
-private:
-    static constexpr std::size_t kMinCap = 4096;
-    static constexpr std::size_t kRetainedCap = 256ull << 20;
-    static constexpr std::size_t kBuckets = 64;
-
-    [[nodiscard]] static std::size_t bucket_cap(std::size_t bytes) noexcept {
-        std::size_t cap = kMinCap;
-        while (cap < bytes) cap <<= 1;
-        return cap;
-    }
-    [[nodiscard]] static std::size_t bucket_index(std::size_t cap) noexcept {
-        std::size_t i = 0;
-        while ((kMinCap << i) < cap) ++i;
-        return i;
-    }
-
-    std::mutex mu_;
-    std::size_t retained_bytes_ = 0;
-    std::vector<Slab*> shelves_[kBuckets];
-};
+    return s;
+}
 
 inline void slab_retain(Slab* s) noexcept {
     s->refs.fetch_add(1, std::memory_order_relaxed);
 }
 
-inline void slab_release(Slab* s) {
+inline void slab_release(Slab* s) noexcept {
     if (s->refs.fetch_sub(1, std::memory_order_acq_rel) != 1) return;
-    if (s->pooled) {
-        SlabPool::instance().release(s);
-    } else {
-        delete s;
+    if (s->aligned) {
+        data_plane_counters().live_bytes.fetch_sub(s->cap, std::memory_order_relaxed);
+        ::operator delete(s->mem, std::align_val_t{kSlabAlign});
     }
+    delete s;
 }
 
 }  // namespace detail
@@ -257,9 +195,9 @@ public:
         if (s_) detail::slab_release(std::exchange(s_, nullptr));
     }
 
-    /// Acquire a pooled, 64-byte-aligned slab of at least `bytes` capacity.
+    /// Allocate a 64-byte-aligned slab of exactly `bytes` capacity.
     [[nodiscard]] static SlabHandle acquire(std::size_t bytes) {
-        return SlabHandle(detail::SlabPool::instance().acquire(bytes));
+        return SlabHandle(detail::slab_allocate(bytes));
     }
 
     [[nodiscard]] explicit operator bool() const noexcept { return s_ != nullptr; }
@@ -300,11 +238,11 @@ public:
         ptr_ = s->adopted.data();
     }
 
-    /// Copy a Field's samples into a pooled slab (counted).
+    /// Copy a Field's samples into an aligned slab (counted).
     FieldRef(const Field& f)  // NOLINT(google-explicit-constructor)
         : FieldRef(copy_of(f.data(), f.dims())) {}
 
-    /// Counted copy of `src` into a fresh pooled slab.
+    /// Counted copy of `src` into a fresh aligned slab.
     [[nodiscard]] static FieldRef copy_of(std::span<const float> src, Dims3 dims) {
         FieldRef r;
         r.dims_ = dims;
@@ -347,7 +285,7 @@ private:
 };
 
 /// Mutable staging builder: write `dims.volume()` samples into an aligned
-/// pooled slab, then `seal()` into an immutable FieldRef. This is how
+/// slab, then `seal()` into an immutable FieldRef. This is how
 /// producers that synthesize or load data (data::read_f32, dataset
 /// generators) enter the zero-copy plane without an intermediate vector.
 class FieldBuffer {

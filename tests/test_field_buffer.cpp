@@ -1,4 +1,4 @@
-// The zero-copy data plane core: slab pool recycling, FieldRef ownership
+// The zero-copy data plane core: aligned slab lifetime, FieldRef ownership
 // and aliasing, FieldBuffer staging, and the process-wide copy ledger.
 
 #include <gtest/gtest.h>
@@ -18,12 +18,12 @@ namespace tst = ::cuzc::testing;
 
 std::uintptr_t addr(const float* p) { return reinterpret_cast<std::uintptr_t>(p); }
 
-TEST(FieldBuffer, PooledSlabsAreCacheLineAligned) {
+TEST(FieldBuffer, SlabsAreCacheLineAligned) {
     for (std::size_t bytes : {1ul, 64ul, 4096ul, 40000ul}) {
         const zc::SlabHandle h = zc::SlabHandle::acquire(bytes);
         ASSERT_TRUE(h);
         EXPECT_EQ(reinterpret_cast<std::uintptr_t>(h.data()) % zc::kSlabAlign, 0u);
-        EXPECT_GE(h.capacity(), bytes);
+        EXPECT_EQ(h.capacity(), bytes);
     }
 }
 
@@ -38,18 +38,28 @@ TEST(FieldBuffer, HandleCopiesShareOneSlab) {
     EXPECT_EQ(a.use_count(), 1u);
 }
 
-TEST(FieldBuffer, PoolRecyclesReleasedSlabs) {
+// After a reset the high-water mark equals the bytes live slabs still
+// hold, so it shows whether released storage is really given back.
+std::uint64_t live_slab_bytes() {
     zc::reset_data_plane_stats();
-    float* first = nullptr;
+    return zc::data_plane_stats().pool_high_water_bytes;
+}
+
+TEST(FieldBuffer, LiveSlabBytesReturnToBaselineAfterLastHandle) {
+    const std::uint64_t baseline = live_slab_bytes();
+    const zc::Dims3 dims{32, 32, 16};
+    const std::uint64_t bytes = dims.volume() * sizeof(float);
     {
-        const zc::SlabHandle h = zc::SlabHandle::acquire(512 * sizeof(float));
-        first = reinterpret_cast<float*>(h.data());
+        zc::FieldBuffer staging(dims);
+        const zc::FieldRef ref = std::move(staging).seal();
+        {
+            const zc::FieldRef copy = ref;  // a second handle, same slab
+            EXPECT_EQ(live_slab_bytes(), baseline + bytes);
+        }
+        EXPECT_EQ(live_slab_bytes(), baseline + bytes);
     }
-    // Same bucket -> the shelved slab comes back instead of a fresh alloc.
-    const zc::SlabHandle again = zc::SlabHandle::acquire(512 * sizeof(float));
-    EXPECT_EQ(reinterpret_cast<float*>(again.data()), first);
-    const auto s = zc::data_plane_stats();
-    EXPECT_GE(s.slab_reuses, 1u);
+    EXPECT_EQ(live_slab_bytes(), baseline);
+    EXPECT_EQ(zc::data_plane_stats().slab_reuses, 0u);
 }
 
 TEST(FieldBuffer, FieldMoveAdoptsStorageWithoutCopy) {
@@ -136,8 +146,8 @@ TEST(FieldBuffer, ForceCopySwitchRoundTrips) {
 TEST(FieldBuffer, StatsTrackPoolHighWater) {
     zc::reset_data_plane_stats();
     const auto before = zc::data_plane_stats();
-    // Ask for a bucket size nothing else in this binary uses, so the
-    // acquisition must allocate fresh and push the high-water mark.
+    // Every acquisition is a fresh allocation that raises the live bytes,
+    // and with them the high-water mark, by its size.
     const zc::SlabHandle big = zc::SlabHandle::acquire(48ull << 20);
     const auto after = zc::data_plane_stats();
     EXPECT_GE(after.slab_allocs, before.slab_allocs + 1);
