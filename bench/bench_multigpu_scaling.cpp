@@ -329,10 +329,7 @@ int main(int argc, char** argv) {
         // Reconciliation gate: every future resolved, so the counters must
         // balance exactly, and the shard counters must agree with the
         // per-response view.
-        if (tele.queued != tele.served + tele.rejected + tele.queue_depth + tele.inflight ||
-            tele.served != tele.cache_hits + tele.cache_misses ||
-            tele.latency.count != tele.served + tele.rejected ||
-            tele.shards != (sharded ? sharded_devices_seen : 0)) {
+        if (!tele.check().empty() || tele.shards != (sharded ? sharded_devices_seen : 0)) {
             std::fprintf(stderr, "bench_multigpu_scaling: %s serve telemetry does not reconcile\n",
                          sharded ? "sharded" : "single-device");
             return 1;

@@ -5,7 +5,9 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <ostream>
 
+#include "io/strict_parse.hpp"
 #include "sz/sz.hpp"
 
 namespace cuzc::bench {
@@ -21,6 +23,46 @@ BenchConfig BenchConfig::from_args(int argc, char** argv) {
         }
     }
     return cfg;
+}
+
+int parse_flags(int argc, const char* const* argv, std::initializer_list<Flag> flags,
+                std::ostream& err) {
+    for (int i = 1; i < argc; ++i) {
+        const std::string_view arg = argv[i];
+        const std::size_t eq = arg.find('=');
+        const std::string_view name = arg.substr(0, eq);
+        const Flag* flag = nullptr;
+        for (const Flag& f : flags) {
+            if (f.name == name) flag = &f;
+        }
+        if (flag == nullptr) {
+            err << argv[0] << ": unknown argument '" << arg << "'\n";
+            return 2;
+        }
+        const bool has_value = eq != std::string_view::npos;
+        const std::string_view value = has_value ? arg.substr(eq + 1) : std::string_view{};
+        if (auto* on = std::get_if<bool*>(&flag->target)) {
+            if (has_value) {
+                err << argv[0] << ": " << name << " takes no value\n";
+                return 2;
+            }
+            **on = true;
+        } else if (auto* text = std::get_if<std::string*>(&flag->target)) {
+            if (!has_value) {
+                err << argv[0] << ": " << name << " needs a value (" << name << "=...)\n";
+                return 2;
+            }
+            **text = std::string(value);
+        } else {
+            std::size_t n = 0;
+            if (!has_value || !io::parse_num(value, n) || n == 0) {
+                err << argv[0] << ": " << name << " needs a count >= 1, got '" << arg << "'\n";
+                return 2;
+            }
+            *std::get<std::size_t*>(flag->target) = n;
+        }
+    }
+    return 0;
 }
 
 std::vector<PreparedDataset> prepare_datasets(const BenchConfig& cfg) {

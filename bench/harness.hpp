@@ -1,6 +1,11 @@
 #pragma once
 
+#include <cstddef>
+#include <initializer_list>
+#include <iosfwd>
 #include <string>
+#include <string_view>
+#include <variant>
 #include <vector>
 
 #include "cuzc/cuzc.hpp"
@@ -63,6 +68,22 @@ struct PatternTimes {
 /// (ompZC from the analytic CPU work model at full dims, 20 threads).
 [[nodiscard]] PatternTimes pattern_times(const PreparedDataset& ds, zc::Pattern pattern,
                                          const zc::MetricsConfig& mcfg);
+
+/// One command-line flag of a bench binary, bound to the variable it sets:
+/// a count (`--name=N`, N >= 1), a text value (`--name=TEXT`), or a bare
+/// switch (`--name`).
+struct Flag {
+    std::string_view name;  ///< including the leading "--"
+    std::variant<std::size_t*, std::string*, bool*> target;
+};
+
+/// Parse argv[1..argc) strictly against `flags`: counts go through
+/// io::parse_num (no trailing garbage, no sign, no overflow) and must be
+/// at least 1. Returns 0 on success; on an unknown flag, a malformed or
+/// zero count, or a value given to a switch it writes one line to `err`
+/// and returns 2, the usage-error exit code.
+[[nodiscard]] int parse_flags(int argc, const char* const* argv, std::initializer_list<Flag> flags,
+                              std::ostream& err);
 
 /// Paper-reported reference ranges, for printing next to measured values.
 struct PaperRange {

@@ -230,23 +230,7 @@ void run_session_script(std::span<const std::uint8_t> script) {
         }
         std::this_thread::sleep_for(std::chrono::milliseconds(2));
     }
-    if (t.requests_accepted != t.requests_completed + t.requests_failed) {
-        fail("request ledger does not reconcile: accepted=" +
-             std::to_string(t.requests_accepted) + " completed=" +
-             std::to_string(t.requests_completed) + " failed=" +
-             std::to_string(t.requests_failed));
-    }
-    if (t.connections_accepted != t.connections_active + t.connections_closed) {
-        fail("connection ledger does not reconcile: accepted=" +
-             std::to_string(t.connections_accepted) + " active=" +
-             std::to_string(t.connections_active) + " closed=" +
-             std::to_string(t.connections_closed));
-    }
-    if (t.streams_opened < t.streams_aborted) {
-        fail("more streams aborted than opened: opened=" +
-             std::to_string(t.streams_opened) + " aborted=" +
-             std::to_string(t.streams_aborted));
-    }
+    for (const auto& violated : t.check_drained()) fail("ledger invariant violated: " + violated);
     // ~NetServer drains and joins the loop thread.
 }
 

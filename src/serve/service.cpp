@@ -565,8 +565,8 @@ std::future<AssessResponse> AssessService::submit(AssessRequest req) {
         if (invalid.empty()) invalid = "queue full (admission control)";
         // Submit-time rejections settle inside the same critical section
         // that counted them as queued, and still record a latency span —
-        // the invariants `queued == served + rejected + depth + inflight`
-        // and `latency.count == served + rejected` hold at all times.
+        // the "queued" and "latency.count" invariants of
+        // ServiceTelemetry::check() hold at all times.
         ++impl_->tele.rejected;
         rejected.spans.queue_s = seconds_since(pending->submitted);
         impl_->tele.queue_s += rejected.spans.queue_s;

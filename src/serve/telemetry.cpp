@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <initializer_list>
 #include <ostream>
 #include <string>
+#include <utility>
 
 namespace cuzc::serve {
 
@@ -26,6 +28,13 @@ double LatencyHistogram::bucket_le_us(std::size_t i) noexcept {
 
 namespace {
 
+/// Append the name of every rule that does not hold.
+void note_violations(Violations& v, std::initializer_list<std::pair<bool, const char*>> rules) {
+    for (const auto& [holds, name] : rules) {
+        if (!holds) v.emplace_back(name);
+    }
+}
+
 void write_data_plane_json(std::ostream& os, const zc::DataPlaneStats& dp,
                            const std::string& in1, const std::string& in2) {
     os << in1 << "\"data_plane\": {\n";
@@ -38,6 +47,38 @@ void write_data_plane_json(std::ostream& os, const zc::DataPlaneStats& dp,
 }
 
 }  // namespace
+
+Violations ServiceTelemetry::check() const {
+    Violations v;
+    note_violations(v, {{queued == served + rejected + queue_depth + inflight, "queued"},
+                        {served == cache_hits + cache_misses, "served"},
+                        {shed <= served, "shed"},
+                        {latency.count == served + rejected, "latency.count"}});
+    return v;
+}
+
+Violations ServiceTelemetry::check_drained() const {
+    Violations v = check();
+    note_violations(v, {{queue_depth == 0, "queue_depth"}, {inflight == 0, "inflight"}});
+    return v;
+}
+
+Violations NetTelemetry::check() const {
+    Violations v;
+    note_violations(
+        v, {{requests_accepted == requests_completed + requests_failed + requests_in_flight,
+             "requests_accepted"},
+            {connections_accepted == connections_active + connections_closed,
+             "connections_accepted"},
+            {streams_opened >= streams_aborted, "streams_opened"}});
+    return v;
+}
+
+Violations NetTelemetry::check_drained() const {
+    Violations v = check();
+    note_violations(v, {{requests_in_flight == 0, "requests_in_flight"}});
+    return v;
+}
 
 void ServiceTelemetry::write_json(std::ostream& os, int indent) const {
     const std::string pad(static_cast<std::size_t>(indent), ' ');

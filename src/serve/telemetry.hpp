@@ -3,10 +3,16 @@
 #include <array>
 #include <cstdint>
 #include <iosfwd>
+#include <string>
+#include <vector>
 
 #include "zc/field_buffer.hpp"
 
 namespace cuzc::serve {
+
+/// Names of the ledger invariants a telemetry snapshot violates; empty
+/// when the ledger is consistent.
+using Violations = std::vector<std::string>;
 
 /// Log2-bucketed latency histogram (microsecond granularity): bucket i
 /// counts requests with total latency in [2^(i-1), 2^i) microseconds,
@@ -31,12 +37,16 @@ struct LatencyHistogram {
 /// `rejected`, and every rejection still fulfills the submitter's future.
 ///
 /// Reconciliation invariants, which hold at every telemetry() snapshot
-/// (each transition is a single critical section), not just after drain:
-///   queued == served + rejected + queue_depth + inflight
-///   served == cache_hits + cache_misses,  shed <= served
-///   latency.count == served + rejected   (rejections record a span too)
-/// After drain(), queue_depth == inflight == 0, so
-/// queued == served + rejected.
+/// (each transition is a single critical section), not just after drain.
+/// check() reports each violated one by the name on its left:
+///   "queued"         queued == served + rejected + queue_depth + inflight
+///   "served"         served == cache_hits + cache_misses
+///   "shed"           shed <= served
+///   "latency.count"  latency.count == served + rejected
+///                    (rejections record a span too)
+/// After drain() the gauges are zero as well, which check_drained() adds:
+///   "queue_depth"    queue_depth == 0
+///   "inflight"       inflight == 0
 struct ServiceTelemetry {
     std::uint64_t queued = 0;
     std::uint64_t served = 0;
@@ -82,6 +92,11 @@ struct ServiceTelemetry {
     /// high-water — see zc::data_plane_stats()).
     zc::DataPlaneStats data_plane;
 
+    /// The invariants above that this snapshot violates, by name.
+    [[nodiscard]] Violations check() const;
+    /// check() plus the drained gauges.
+    [[nodiscard]] Violations check_drained() const;
+
     /// Pretty-printed JSON object, schema "cuzc-serve-telemetry-v2" (v2
     /// added the nested "data_plane" block).
     void write_json(std::ostream& os, int indent = 0) const;
@@ -97,11 +112,16 @@ struct ServiceTelemetry {
 /// reduction) and never reach the service queue; they still count as
 /// requests here so the request ledger covers all wire work.
 ///
-/// Reconciliation invariants, holding at every snapshot:
-///   requests_accepted == requests_completed + requests_failed
-///                        + requests_in_flight
-///   connections_accepted == connections_active + connections_closed
-///   streams_opened >= streams_aborted
+/// Reconciliation invariants, holding at every snapshot; check() reports
+/// each violated one by the name on its left:
+///   "requests_accepted"     requests_accepted == requests_completed
+///                           + requests_failed + requests_in_flight
+///   "connections_accepted"  connections_accepted == connections_active
+///                           + connections_closed
+///   "streams_opened"        streams_opened >= streams_aborted
+/// Once the server has drained and every client has its responses,
+/// check_drained() adds:
+///   "requests_in_flight"    requests_in_flight == 0
 /// A request is `completed` when its response frame was queued for
 /// delivery (the service-level rejected flag travels *inside* the
 /// response); it is `failed` only when the response could not be
@@ -132,6 +152,11 @@ struct NetTelemetry {
     /// Zero-copy data-plane ledger at snapshot time (shared process-wide
     /// counters; the same numbers ServiceTelemetry reports).
     zc::DataPlaneStats data_plane;
+
+    /// The invariants above that this snapshot violates, by name.
+    [[nodiscard]] Violations check() const;
+    /// check() plus the drained gauge.
+    [[nodiscard]] Violations check_drained() const;
 
     /// Pretty-printed JSON object; `"schema": "cuzc-wire-v2"` names the
     /// protocol revision the counters describe (the nested "data_plane"

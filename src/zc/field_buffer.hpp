@@ -76,7 +76,7 @@ inline DataPlaneCounters& data_plane_counters() noexcept {
 /// Record `bytes` of payload movement. Every copy the data plane performs
 /// — decode fallback, forced upload copy, staging into a FieldBuffer,
 /// assembler migration — funnels through here so the telemetry ledger and
-/// the bench_data_plane gate see the same number.
+/// the `bench_e2e --mode=data-plane` gate see the same number.
 inline void data_plane_note_copy(std::size_t bytes) noexcept {
     detail::data_plane_counters().bytes_copied.fetch_add(bytes, std::memory_order_relaxed);
 }

@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <sstream>
+
 #include "cuzc/cuzc.hpp"
 #include "harness.hpp"
 #include "test_helpers.hpp"
@@ -141,6 +143,48 @@ TEST(Harness, Formatting) {
     EXPECT_NE(fmt_time(2.5e-6).find("us"), std::string::npos);
     EXPECT_NE(fmt_rate(2.0e9).find("GB/s"), std::string::npos);
     EXPECT_NE(fmt_rate(2.0e6).find("MB/s"), std::string::npos);
+}
+
+// Strict flag parsing: a malformed flag must stop the bench with the
+// usage-error exit code, never run a different workload.
+int parse(std::initializer_list<const char*> args, std::size_t& count, std::string& text,
+          bool& on) {
+    std::vector<const char*> argv{"bench"};
+    argv.insert(argv.end(), args);
+    std::ostringstream err;
+    return parse_flags(static_cast<int>(argv.size()), argv.data(),
+                       {{"--requests", &count}, {"--out", &text}, {"--check", &on}}, err);
+}
+
+TEST(Harness, ParseFlagsAcceptsWellFormedFlags) {
+    std::size_t count = 200;
+    std::string text;
+    bool on = false;
+    ASSERT_EQ(parse({"--requests=12", "--out=x.json", "--check"}, count, text, on), 0);
+    EXPECT_EQ(count, 12u);
+    EXPECT_EQ(text, "x.json");
+    EXPECT_TRUE(on);
+    count = 200;
+    ASSERT_EQ(parse({}, count, text, on), 0);
+    EXPECT_EQ(count, 200u);  // defaults survive
+}
+
+TEST(Harness, ParseFlagsRejectsWithUsageExitCode) {
+    std::size_t count = 200;
+    std::string text;
+    bool on = false;
+    for (const char* bad : {"--requests=12x",      // trailing garbage
+                            "--requests=40x40x40junk",
+                            "--requests= 12", "--requests=+12", "--requests=-1",
+                            "--requests=99999999999999999999999",  // overflow
+                            "--requests=0",                        // zero count
+                            "--requests=", "--requests",           // missing value
+                            "--trials=3", "--bogus", "requests=12",  // unknown
+                            "--check=1", "--out"}) {
+        EXPECT_EQ(parse({bad}, count, text, on), 2) << bad;
+    }
+    EXPECT_EQ(count, 200u);  // nothing half-applied
+    EXPECT_FALSE(on);
 }
 
 }  // namespace

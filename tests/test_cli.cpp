@@ -426,9 +426,10 @@ TEST_F(CliFixture, NetLoopbackReplayMatchesInProcessServe) {
 
     const auto port_path = (dir / "port").string();
     std::string listen_out;
+    int listen_rc = -1;
     std::thread listener([&] {
         // run_listen blocks until shutdown_active_servers() below.
-        (void)run({"serve", "--listen=0", "--port-file=" + port_path}, &listen_out);
+        listen_rc = run({"serve", "--listen=0", "--port-file=" + port_path}, &listen_out);
     });
     std::string port;
     for (int i = 0; i < 500 && port.empty(); ++i) {  // up to ~5 s
@@ -445,6 +446,7 @@ TEST_F(CliFixture, NetLoopbackReplayMatchesInProcessServe) {
     cli::shutdown_active_servers();
     listener.join();
     ASSERT_EQ(rc, 0);
+    EXPECT_EQ(listen_rc, 0) << "the drained listener's ledger check failed";
 
     std::string local_json;
     EXPECT_EQ(run({"serve", "--replay=" + trace_path}, &local_json), 0);

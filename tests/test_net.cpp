@@ -356,7 +356,7 @@ TEST(NetServer, InflightCapBackpressureStillCompletesEverything) {
     EXPECT_EQ(tele.requests_accepted, ids.size());
     EXPECT_EQ(tele.requests_completed, ids.size());
     EXPECT_EQ(tele.requests_failed, 0u);
-    EXPECT_EQ(tele.requests_in_flight, 0u);
+    EXPECT_EQ(tele.check_drained(), serve::Violations{});
 }
 
 TEST(NetServer, FrameLargerThanReadBufferStillCompletes) {
@@ -420,8 +420,7 @@ TEST(NetServer, ConcurrentClientsEachGetTheirOwnAnswers) {
 
     const auto tele = server.telemetry();
     EXPECT_EQ(tele.requests_accepted, static_cast<std::uint64_t>(kClients * kPerClient));
-    EXPECT_EQ(tele.requests_accepted,
-              tele.requests_completed + tele.requests_failed + tele.requests_in_flight);
+    EXPECT_EQ(tele.check_drained(), serve::Violations{});
 }
 
 TEST(NetServer, DrainWhileInflightSettlesEveryAcceptedRequest) {
@@ -448,7 +447,7 @@ TEST(NetServer, DrainWhileInflightSettlesEveryAcceptedRequest) {
     const auto tele = server.telemetry();
     EXPECT_EQ(tele.requests_accepted, kN);
     EXPECT_EQ(tele.requests_completed, kN);
-    EXPECT_EQ(tele.requests_in_flight, 0u);
+    EXPECT_EQ(tele.check_drained(), serve::Violations{});
 }
 
 /// Raw TCP connect to the loopback server (no Hello), or -1.
@@ -646,9 +645,7 @@ TEST(NetServer, TelemetryReconcilesUnderFaultInjection) {
 
     const auto tele = server.telemetry();
     EXPECT_EQ(tele.requests_accepted, trace.size());
-    EXPECT_EQ(tele.requests_accepted,
-              tele.requests_completed + tele.requests_failed + tele.requests_in_flight);
-    EXPECT_EQ(tele.requests_in_flight, 0u);
+    EXPECT_EQ(tele.check_drained(), serve::Violations{});
     EXPECT_EQ(tele.requests_failed, 0u);  // the client stayed connected
     EXPECT_GE(tele.frames_rx, trace.size() + 1);  // requests + Hello
     EXPECT_GE(tele.frames_tx, trace.size() + 1);  // responses + HelloAck
@@ -659,7 +656,7 @@ TEST(NetServer, TelemetryReconcilesUnderFaultInjection) {
     // responses with rejected=true, not as dropped frames.
     const auto stele = server.service_telemetry();
     EXPECT_EQ(stele.queued, trace.size());
-    EXPECT_EQ(stele.served + stele.rejected, stele.queued);
+    EXPECT_EQ(stele.check_drained(), serve::Violations{});
     EXPECT_EQ(stele.rejected, rejected);
 }
 
@@ -763,8 +760,7 @@ TEST(NetDataPlane, ConnectionTeardownWhileWorkerHoldsPayloadViews) {
     }
     const auto tele = server.telemetry();
     EXPECT_EQ(tele.requests_accepted, 4u);
-    EXPECT_EQ(tele.requests_accepted, tele.requests_completed + tele.requests_failed);
-    EXPECT_EQ(tele.requests_in_flight, 0u);
+    EXPECT_EQ(tele.check_drained(), serve::Violations{});
 }
 
 TEST(NetDataPlane, StreamAbortAndDisconnectWhileChunksInFlight) {
@@ -794,7 +790,7 @@ TEST(NetDataPlane, StreamAbortAndDisconnectWhileChunksInFlight) {
     const auto tele = server.telemetry();
     EXPECT_EQ(tele.streams_opened, 1u);
     EXPECT_EQ(tele.streams_aborted, 1u);
-    EXPECT_EQ(tele.requests_in_flight, 0u);
+    EXPECT_EQ(tele.check_drained(), serve::Violations{});
 }
 
 TEST(NetDataPlane, CacheEntryOutlivesOriginatingConnection) {

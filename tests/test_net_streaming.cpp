@@ -292,7 +292,7 @@ TEST(NetStreamLoopback, DatasetLargerThanFrameMatchesBatchMomentsBitForBit) {
     EXPECT_EQ(tele.streams_aborted, 0u);
     EXPECT_EQ(tele.requests_accepted, 1u);
     EXPECT_EQ(tele.requests_completed, 1u);
-    EXPECT_EQ(tele.requests_in_flight, 0u);
+    EXPECT_EQ(tele.check_drained(), serve::Violations{});
 }
 
 TEST(NetStreamLoopback, StreamAssessEqualsInProcessStreamingAssessorExactly) {
@@ -385,7 +385,7 @@ TEST(NetStreamLoopback, InterleavedStreamsOnOneConnectionBothSettle) {
     EXPECT_EQ(tele.streams_opened, 2u);
     EXPECT_EQ(tele.streams_aborted, 0u);
     EXPECT_EQ(tele.requests_completed, 2u);
-    EXPECT_EQ(tele.requests_in_flight, 0u);
+    EXPECT_EQ(tele.check_drained(), serve::Violations{});
 }
 
 TEST(NetStreamLoopback, V1ClientIsServedUnchangedAndStreamApisThrow) {
@@ -557,7 +557,7 @@ TEST(NetStreamServer, OutOfSequenceChunkSettlesTheStreamRejected) {
     EXPECT_TRUE(resp.rejected);
     EXPECT_NE(resp.error.find("out of sequence"), std::string::npos) << resp.error;
     EXPECT_EQ(server.telemetry().streams_aborted, 1u);
-    EXPECT_EQ(server.telemetry().requests_in_flight, 0u);
+    EXPECT_EQ(server.telemetry().check_drained(), serve::Violations{});
 }
 
 TEST(NetStreamServer, ReusingASettledStreamIdIsRejectedDeterministically) {
@@ -601,7 +601,7 @@ TEST(NetStreamServer, ReusingASettledStreamIdIsRejectedDeterministically) {
     wire.end_stream(2, se);
     const auto ok = wire.wait_response(2);
     EXPECT_FALSE(ok.rejected) << ok.error;
-    EXPECT_EQ(server.telemetry().requests_in_flight, 0u);
+    EXPECT_EQ(server.telemetry().check_drained(), serve::Violations{});
 }
 
 TEST(NetStreamServer, PdfBinsBombInStreamBeginIsRejectedAtTheFramingLayer) {
@@ -820,7 +820,7 @@ TEST(NetStreamServer, DrainSettlesOpenStreamsRejected) {
     EXPECT_EQ(tele.streams_aborted, 1u);
     EXPECT_EQ(tele.requests_accepted, 1u);
     EXPECT_EQ(tele.requests_completed, 1u);
-    EXPECT_EQ(tele.requests_in_flight, 0u);
+    EXPECT_EQ(tele.check_drained(), serve::Violations{});
 }
 
 TEST(NetStreamServer, ClientAbortReleasesTheStreamServerSide) {
@@ -841,7 +841,7 @@ TEST(NetStreamServer, ClientAbortReleasesTheStreamServerSide) {
     EXPECT_EQ(tele.streams_opened, 1u);
     EXPECT_EQ(tele.streams_aborted, 1u);
     EXPECT_EQ(tele.requests_failed, 1u);
-    EXPECT_EQ(tele.requests_in_flight, 0u);
+    EXPECT_EQ(tele.check_drained(), serve::Violations{});
     EXPECT_EQ(client.outstanding(), 0u);
 
     // The connection is still perfectly usable for a fresh stream.

@@ -90,7 +90,8 @@ std::string usage() {
            "`cuzc serve --replay` replays a cuzc-trace-v1 workload through the\n"
            "in-process assessment service; `cuzc serve --listen` exposes the same\n"
            "service over TCP speaking cuzc-wire-v1/v2 (drains gracefully on SIGTERM/\n"
-           "SIGINT); `cuzc replay --connect` replays a trace against such a server;\n"
+           "SIGINT, then exits 1 if its drained telemetry ledgers fail their\n"
+           "checks); `cuzc replay --connect` replays a trace against such a server;\n"
            "`cuzc assess --connect` assesses a file pair remotely (--stream-chunk=N\n"
            "uploads it as a v2 streaming session of N-element chunks, which also\n"
            "handles datasets larger than the server's frame-payload limit);\n"
@@ -602,6 +603,7 @@ int run_assess_connect(const CliOptions& opt, std::ostream& out, std::ostream& e
 
 /// Run the socket front-end until SIGINT/SIGTERM (or a test calling
 /// shutdown_active_servers) drains it, then emit net + service telemetry.
+/// Exits 1 when either drained ledger fails its check.
 int run_listen(const CliOptions& opt, std::ostream& out, std::ostream& err) {
     net::NetServerConfig ncfg;
     ncfg.port = opt.listen_port;
@@ -647,7 +649,17 @@ int run_listen(const CliOptions& opt, std::ostream& out, std::ostream& err) {
     *sink << ",\n  \"service\": ";
     svc_tele.write_json(*sink, 2);
     *sink << "\n}\n";
-    return 0;
+
+    int rc = 0;
+    for (const auto& violated : net_tele.check_drained()) {
+        err << "cuzc: net ledger invariant violated: " << violated << "\n";
+        rc = 1;
+    }
+    for (const auto& violated : svc_tele.check_drained()) {
+        err << "cuzc: service ledger invariant violated: " << violated << "\n";
+        rc = 1;
+    }
+    return rc;
 }
 
 /// Run the differential fuzzing / invariant harness (`cuzc fuzz`).
