@@ -174,11 +174,8 @@ int run_slicing_micro(const PreparedDataset& ds) {
 }  // namespace
 
 int main(int argc, char** argv) {
-    const BenchConfig cfg = BenchConfig::from_args(argc, argv);
     bool check = false;
-    for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--check") == 0) check = true;
-    }
+    const BenchConfig cfg = BenchConfig::from_args(argc, argv, {{"--check", &check}});
     const auto mcfg = paper_metrics();
     const vgpu::GpuCostModel gpu(vgpu::DeviceProps::v100(), vgpu::GpuCostParams{});
     const unsigned hc = std::max(1u, std::thread::hardware_concurrency());

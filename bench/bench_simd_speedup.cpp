@@ -18,9 +18,8 @@
 #include <chrono>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <fstream>
+#include <iostream>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -116,32 +115,17 @@ void append_stats_json(std::ostringstream& os, const vgpu::KernelStats& s) {
 }  // namespace
 
 int main(int argc, char** argv) {
-    std::vector<unsigned> scales{8};
-    int repeats = 3;
+    std::vector<std::size_t> scales{8};
+    std::size_t repeats = 3;
     bool check = false;
     std::string out_path;
-    for (int i = 1; i < argc; ++i) {
-        if (std::strncmp(argv[i], "--scales=", 9) == 0) {
-            scales.clear();
-            const char* p = argv[i] + 9;
-            while (*p) {
-                const int v = std::atoi(p);
-                if (v < 1) {
-                    std::fprintf(stderr, "bench_simd_speedup: bad --scales value in '%s'\n",
-                                 argv[i]);
-                    return 2;
-                }
-                scales.push_back(static_cast<unsigned>(v));
-                while (*p && *p != ',') ++p;
-                if (*p == ',') ++p;
-            }
-        } else if (std::strncmp(argv[i], "--repeats=", 10) == 0) {
-            repeats = std::max(1, std::atoi(argv[i] + 10));
-        } else if (std::strncmp(argv[i], "--out=", 6) == 0) {
-            out_path = argv[i] + 6;
-        } else if (std::strcmp(argv[i], "--check") == 0) {
-            check = true;
-        }
+    if (const int rc = cuzc::bench::parse_flags(
+            argc, argv,
+            {{"--scales", &scales}, {"--repeats", &repeats}, {"--out", &out_path},
+             {"--check", &check}},
+            std::cerr);
+        rc != 0) {
+        return rc;
     }
 
     const simd::Backend best = simd::available_backends().front();
@@ -153,9 +137,9 @@ int main(int argc, char** argv) {
     std::vector<Sample> samples;
     bool equal_ok = true;
 
-    for (const unsigned scale : scales) {
+    for (const std::size_t scale : scales) {
         BenchConfig bcfg;
-        bcfg.scale = scale;
+        bcfg.scale = static_cast<unsigned>(scale);
         const auto datasets = cuzc::bench::prepare_datasets(bcfg);
         for (const auto& ds : datasets) {
             for (const zc::Pattern pattern :
@@ -178,14 +162,14 @@ int main(int argc, char** argv) {
 
                 Sample s;
                 s.dataset = ds.name;
-                s.scale = scale;
+                s.scale = bcfg.scale;
                 s.scalar_seconds = 1e300;
                 s.simd_seconds = 1e300;
                 // Alternate the backends within each repeat so slow drift on
                 // a shared host (frequency scaling, noisy neighbours) hits
                 // both sides of the ratio equally.
                 ::cuzc::cuzc::CuzcResult r_scalar, r_simd;
-                for (int r = 0; r < repeats; ++r) {
+                for (std::size_t r = 0; r < repeats; ++r) {
                     r_scalar = run_once(simd::Backend::kScalar, s.scalar_seconds);
                     r_simd = run_once(best, s.simd_seconds);
                 }

@@ -16,8 +16,8 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
+#include <iostream>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -59,39 +59,22 @@ void append_stats_json(std::ostringstream& os, const vgpu::KernelStats& s) {
 }  // namespace
 
 int main(int argc, char** argv) {
-    std::vector<unsigned> scales{8, 4};
-    int repeats = 3;
+    std::vector<std::size_t> scales{8, 4};
+    std::size_t repeats = 3;
     std::string out_path;
-    for (int i = 1; i < argc; ++i) {
-        if (std::strncmp(argv[i], "--scales=", 9) == 0) {
-            scales.clear();
-            const char* p = argv[i] + 9;
-            while (*p) {
-                const int v = std::atoi(p);
-                if (v < 1) {
-                    // A typo must not silently select scale 1 (the full-size
-                    // 141M-element fields — a multi-minute run).
-                    std::fprintf(stderr, "bench_vgpu_wallclock: bad --scales value in '%s'\n",
-                                 argv[i]);
-                    return 2;
-                }
-                scales.push_back(static_cast<unsigned>(v));
-                while (*p && *p != ',') ++p;
-                if (*p == ',') ++p;
-            }
-        } else if (std::strncmp(argv[i], "--repeats=", 10) == 0) {
-            repeats = std::max(1, std::atoi(argv[i] + 10));
-        } else if (std::strncmp(argv[i], "--out=", 6) == 0) {
-            out_path = argv[i] + 6;
-        }
+    if (const int rc = cuzc::bench::parse_flags(
+            argc, argv, {{"--scales", &scales}, {"--repeats", &repeats}, {"--out", &out_path}},
+            std::cerr);
+        rc != 0) {
+        return rc;
     }
 
     const zc::MetricsConfig mcfg;
     std::vector<Sample> samples;
 
-    for (const unsigned scale : scales) {
+    for (const std::size_t scale : scales) {
         BenchConfig bcfg;
-        bcfg.scale = scale;
+        bcfg.scale = static_cast<unsigned>(scale);
         const auto datasets = cuzc::bench::prepare_datasets(bcfg);
         for (const auto& ds : datasets) {
             for (const zc::Pattern pattern :
@@ -104,9 +87,9 @@ int main(int argc, char** argv) {
 
                 Sample s;
                 s.dataset = ds.name;
-                s.scale = scale;
+                s.scale = bcfg.scale;
                 s.seconds = 1e300;
-                for (int r = 0; r < repeats; ++r) {
+                for (std::size_t r = 0; r < repeats; ++r) {
                     vgpu::Device dev;
                     const double t0 = now_seconds();
                     const auto res =

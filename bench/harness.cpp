@@ -1,10 +1,11 @@
 #include "harness.hpp"
 
 #include <algorithm>
+#include <climits>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
+#include <iostream>
 #include <ostream>
 
 #include "io/strict_parse.hpp"
@@ -12,20 +13,41 @@
 
 namespace cuzc::bench {
 
-BenchConfig BenchConfig::from_args(int argc, char** argv) {
+namespace {
+
+/// A count flag's value: parse_num-strict, at least 1.
+bool parse_count(std::string_view text, std::size_t& out) {
+    return io::parse_num(text, out) && out >= 1;
+}
+
+}  // namespace
+
+int BenchConfig::parse(int argc, const char* const* argv, const char* env_scale,
+                       std::initializer_list<Flag> extra, BenchConfig& cfg, std::ostream& err) {
+    std::size_t scale = cfg.scale;
+    if (env_scale != nullptr && !parse_count(env_scale, scale)) {
+        err << argv[0] << ": CUZC_BENCH_SCALE needs a count >= 1, got '" << env_scale << "'\n";
+        return 2;
+    }
+    std::vector<Flag> flags{{"--scale", &scale}};
+    flags.insert(flags.end(), extra.begin(), extra.end());
+    if (const int rc = parse_flags(argc, argv, flags, err); rc != 0) return rc;
+    if (scale > UINT_MAX) {
+        err << argv[0] << ": scale " << scale << " is out of range\n";
+        return 2;
+    }
+    cfg.scale = static_cast<unsigned>(scale);
+    return 0;
+}
+
+BenchConfig BenchConfig::from_args(int argc, char** argv, std::initializer_list<Flag> extra) {
     BenchConfig cfg;
-    if (const char* env = std::getenv("CUZC_BENCH_SCALE")) {
-        cfg.scale = static_cast<unsigned>(std::max(1, std::atoi(env)));
-    }
-    for (int i = 1; i < argc; ++i) {
-        if (std::strncmp(argv[i], "--scale=", 8) == 0) {
-            cfg.scale = static_cast<unsigned>(std::max(1, std::atoi(argv[i] + 8)));
-        }
-    }
+    const int rc = parse(argc, argv, std::getenv("CUZC_BENCH_SCALE"), extra, cfg, std::cerr);
+    if (rc != 0) std::exit(rc);
     return cfg;
 }
 
-int parse_flags(int argc, const char* const* argv, std::initializer_list<Flag> flags,
+int parse_flags(int argc, const char* const* argv, std::span<const Flag> flags,
                 std::ostream& err) {
     for (int i = 1; i < argc; ++i) {
         const std::string_view arg = argv[i];
@@ -53,9 +75,26 @@ int parse_flags(int argc, const char* const* argv, std::initializer_list<Flag> f
                 return 2;
             }
             **text = std::string(value);
+        } else if (auto* list = std::get_if<std::vector<std::size_t>*>(&flag->target)) {
+            std::vector<std::size_t> counts;
+            bool ok = has_value;
+            for (std::string_view rest = value; ok;) {
+                const std::size_t comma = rest.find(',');
+                std::size_t n = 0;
+                ok = parse_count(rest.substr(0, comma), n);
+                counts.push_back(n);
+                if (comma == std::string_view::npos) break;
+                rest.remove_prefix(comma + 1);
+            }
+            if (!ok) {
+                err << argv[0] << ": " << name << " needs counts >= 1 (" << name
+                    << "=N,M,...), got '" << arg << "'\n";
+                return 2;
+            }
+            **list = std::move(counts);
         } else {
             std::size_t n = 0;
-            if (!has_value || !io::parse_num(value, n) || n == 0) {
+            if (!has_value || !parse_count(value, n)) {
                 err << argv[0] << ": " << name << " needs a count >= 1, got '" << arg << "'\n";
                 return 2;
             }

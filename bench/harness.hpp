@@ -3,6 +3,7 @@
 #include <cstddef>
 #include <initializer_list>
 #include <iosfwd>
+#include <span>
 #include <string>
 #include <string_view>
 #include <variant>
@@ -15,6 +16,14 @@
 #include "zc/zc.hpp"
 
 namespace cuzc::bench {
+
+/// One command-line flag of a bench binary, bound to the variable it sets:
+/// a count (`--name=N`, N >= 1), a list of counts (`--name=N,M,...`), a
+/// text value (`--name=TEXT`), or a bare switch (`--name`).
+struct Flag {
+    std::string_view name;  ///< including the leading "--"
+    std::variant<std::size_t*, std::vector<std::size_t>*, std::string*, bool*> target;
+};
 
 /// Benchmark execution parameters.
 ///
@@ -31,7 +40,17 @@ struct BenchConfig {
     unsigned scale = 8;
     double sz_rel_bound = 1e-3;
 
-    static BenchConfig from_args(int argc, char** argv);
+    /// Parse `--scale=N` (default: CUZC_BENCH_SCALE, else 8) and the
+    /// bench's own `extra` flags strictly through parse_flags; a usage
+    /// error — including a malformed CUZC_BENCH_SCALE — exits with 2.
+    static BenchConfig from_args(int argc, char** argv, std::initializer_list<Flag> extra = {});
+
+    /// from_args without the exit: returns 0, or 2 after writing the
+    /// reason to `err`. `env_scale` is CUZC_BENCH_SCALE's value (nullptr
+    /// when unset).
+    [[nodiscard]] static int parse(int argc, const char* const* argv, const char* env_scale,
+                                   std::initializer_list<Flag> extra, BenchConfig& cfg,
+                                   std::ostream& err);
 };
 
 /// One dataset prepared for benchmarking: a representative field pair at
@@ -69,21 +88,18 @@ struct PatternTimes {
 [[nodiscard]] PatternTimes pattern_times(const PreparedDataset& ds, zc::Pattern pattern,
                                          const zc::MetricsConfig& mcfg);
 
-/// One command-line flag of a bench binary, bound to the variable it sets:
-/// a count (`--name=N`, N >= 1), a text value (`--name=TEXT`), or a bare
-/// switch (`--name`).
-struct Flag {
-    std::string_view name;  ///< including the leading "--"
-    std::variant<std::size_t*, std::string*, bool*> target;
-};
-
 /// Parse argv[1..argc) strictly against `flags`: counts go through
 /// io::parse_num (no trailing garbage, no sign, no overflow) and must be
-/// at least 1. Returns 0 on success; on an unknown flag, a malformed or
-/// zero count, or a value given to a switch it writes one line to `err`
-/// and returns 2, the usage-error exit code.
-[[nodiscard]] int parse_flags(int argc, const char* const* argv, std::initializer_list<Flag> flags,
+/// at least 1; a list holds one or more such counts, comma-separated.
+/// Returns 0 on success; on an unknown flag, a malformed or zero count, an
+/// empty list element, or a value given to a switch it writes one line to
+/// `err` and returns 2, the usage-error exit code.
+[[nodiscard]] int parse_flags(int argc, const char* const* argv, std::span<const Flag> flags,
                               std::ostream& err);
+[[nodiscard]] inline int parse_flags(int argc, const char* const* argv,
+                                     std::initializer_list<Flag> flags, std::ostream& err) {
+    return parse_flags(argc, argv, std::span<const Flag>(flags.begin(), flags.size()), err);
+}
 
 /// Paper-reported reference ranges, for printing next to measured values.
 struct PaperRange {

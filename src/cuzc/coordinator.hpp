@@ -49,8 +49,8 @@ struct CuzcResult {
                                 const Pattern3Options& p3_opt = {});
 
 /// The same assessment driven from already-uploaded device buffers — the
-/// shared core behind `assess`, `assess_batch`, and the `cuzc::serve`
-/// workers, all of which manage upload/reuse of the buffer pair themselves.
+/// shared core behind `assess` and the `cuzc::serve` workers, which manage
+/// upload/reuse of the buffer pair themselves.
 [[nodiscard]] CuzcResult assess_device(vgpu::Device& dev, const vgpu::DeviceBuffer<float>& d_orig,
                                        const vgpu::DeviceBuffer<float>& d_dec,
                                        const zc::Dims3& dims, const zc::MetricsConfig& cfg,

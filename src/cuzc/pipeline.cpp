@@ -1,6 +1,5 @@
 #include "pipeline.hpp"
 
-#include <algorithm>
 #include <cassert>
 #include <stdexcept>
 
@@ -55,29 +54,6 @@ PipelineResult assess_compressed(vgpu::Device& dev, const zc::Tensor3f& orig,
         throw std::invalid_argument("assess_compressed: stream shape mismatch");
     }
     return assess_pair(dev, orig, dec, cfg, stats, 0.0);
-}
-
-std::vector<CuzcResult> assess_batch(vgpu::Device& dev, std::span<const zc::Field> originals,
-                                     std::span<const zc::Field> decompressed,
-                                     const zc::MetricsConfig& cfg) {
-    std::vector<CuzcResult> results;
-    const std::size_t n = std::min(originals.size(), decompressed.size());
-    if (n == 0) return results;
-    const zc::Dims3 dims = originals[0].dims();
-    // One device-resident buffer pair serves the whole batch.
-    vgpu::DeviceBuffer<float> d_orig(dev, dims.volume());
-    vgpu::DeviceBuffer<float> d_dec(dev, dims.volume());
-
-    results.reserve(n);
-    for (std::size_t i = 0; i < n; ++i) {
-        if (originals[i].dims() != dims || decompressed[i].dims() != dims) {
-            throw std::invalid_argument("assess_batch: all fields must share one shape");
-        }
-        d_orig.upload(originals[i].data());
-        d_dec.upload(decompressed[i].data());
-        results.push_back(assess_device(dev, d_orig, d_dec, dims, cfg));
-    }
-    return results;
 }
 
 }  // namespace cuzc::cuzc

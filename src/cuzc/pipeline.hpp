@@ -1,7 +1,6 @@
 #pragma once
 
 #include <span>
-#include <vector>
 
 #include "coordinator.hpp"
 #include "zc/compression_stats.hpp"
@@ -30,13 +29,5 @@ struct PipelineResult {
 [[nodiscard]] PipelineResult assess_compressed(vgpu::Device& dev, const zc::Tensor3f& orig,
                                                std::span<const std::uint8_t> sz_stream,
                                                const zc::MetricsConfig& cfg);
-
-/// Batch assessment of many (original, decompressed) field pairs of the
-/// same shape — a dataset's fields, say — reusing one pair of device
-/// buffers across the whole batch so each field costs two uploads and the
-/// kernel launches, with no per-field allocation.
-[[nodiscard]] std::vector<CuzcResult> assess_batch(
-    vgpu::Device& dev, std::span<const zc::Field> originals,
-    std::span<const zc::Field> decompressed, const zc::MetricsConfig& cfg);
 
 }  // namespace cuzc::cuzc

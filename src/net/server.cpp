@@ -15,7 +15,6 @@
 #include <chrono>
 #include <cstring>
 #include <deque>
-#include <future>
 #include <mutex>
 #include <stdexcept>
 #include <thread>
@@ -51,8 +50,8 @@ void set_nonblocking(int fd) {
 }  // namespace
 
 struct NetServer::Impl {
-    /// Self-pipe constructed before the service so the service's
-    /// on_response hook can capture the write end.
+    /// Self-pipe that interrupts poll(): written by the completion
+    /// callback (see on_complete) and by shutdown().
     struct WakePipe {
         int r = -1, w = -1;
         WakePipe() {
@@ -69,27 +68,7 @@ struct NetServer::Impl {
         }
     };
 
-    /// The embedded service config with the completion wake-up wired in:
-    /// the first response fulfilled since the loop last drained the pipe
-    /// writes one byte, so the poller wakes on completions instead of
-    /// rediscovering them on a timeout quantum.
-    [[nodiscard]] serve::ServiceConfig wired_service_config() {
-        serve::ServiceConfig s = cfg.service;
-        const int w = wake.w;
-        std::atomic<bool>* flagged = &wake_flagged;
-        std::atomic<std::uint64_t>* signaled = &completions_signaled;
-        s.on_response = [w, flagged, signaled] {
-            // Strictly after set_value (the service guarantees the order),
-            // so once the loop observes the count the future is ready.
-            signaled->fetch_add(1, std::memory_order_release);
-            if (flagged->exchange(true, std::memory_order_acq_rel)) return;
-            const char b = 1;
-            [[maybe_unused]] const ssize_t n = ::write(w, &b, 1);
-        };
-        return s;
-    }
-
-    explicit Impl(NetServerConfig c) : cfg(std::move(c)), service(wired_service_config()) {
+    explicit Impl(NetServerConfig c) : cfg(std::move(c)), service(cfg.service) {
         listen_fd = ::socket(AF_INET, SOCK_STREAM, 0);
         if (listen_fd < 0) throw std::runtime_error("net: socket() failed");
         const int one = 1;
@@ -165,31 +144,42 @@ struct NetServer::Impl {
         explicit Conn(std::size_t max_payload) : assembler(max_payload) {}
     };
 
-    struct PendingResp {
+    /// Wire identity of a submitted request.
+    struct Ticket {
         std::uint64_t conn_id = 0;
         std::uint64_t request_id = 0;
-        std::future<serve::AssessResponse> fut;
+    };
+
+    /// A service response waiting for the loop to encode and queue it.
+    struct Completion {
+        std::size_t ticket = 0;
+        serve::AssessResponse resp;
     };
 
     NetServerConfig cfg;
     WakePipe wake;
-    /// Completion wake-ups pending since the loop last drained the pipe
-    /// (collapses a settle burst into one pipe write).
-    std::atomic<bool> wake_flagged{false};
-    /// Monotonic count of responses the service has fulfilled (the
-    /// on_response hook fires exactly once per settled promise). The loop
-    /// compares it against completions_settled to know how many ready
-    /// futures its scan still owes.
-    std::atomic<std::uint64_t> completions_signaled{0};
-    /// Futures the loop has settled so far (event-loop thread only).
-    std::uint64_t completions_settled = 0;
+    /// Responses handed over by the service's completion callback, in
+    /// completion order. Declared (like `wake`) before `service`, whose
+    /// destructor joins the workers that still call on_complete().
+    std::mutex completed_mu;
+    std::vector<Completion> completed;
     serve::AssessService service;
     int listen_fd = -1;
     std::uint16_t bound_port = 0;
 
     std::unordered_map<std::uint64_t, Conn> conns;
     std::uint64_t next_conn_id = 1;
-    std::vector<PendingResp> pending;
+    /// Tickets of the requests submitted to the service and not yet
+    /// settled, indexed by the slot number their completion callback
+    /// carries (loop thread only). A slot number keeps the callback inside
+    /// std::function's inline storage: capturing both ids instead put a
+    /// heap node per request on this thread that a worker then freed, which
+    /// raised peak RSS on the loopback-mixed benchmark by ~8% (glibc
+    /// malloc, 4-core x86 VM).
+    std::vector<Ticket> tickets;
+    std::vector<std::size_t> free_tickets;
+    /// The loop's half of the `completed` swap (keeps its capacity).
+    std::vector<Completion> settling;
 
     std::atomic<bool> draining{false};
     std::atomic<bool> loop_running{false};
@@ -231,7 +221,8 @@ struct NetServer::Impl {
                     [](const auto& kv) { return kv.second.write_q.empty(); });
                 const bool grace_over =
                     seconds_between(drain_start, Clock::now()) > kDrainGraceSeconds;
-                if ((pending.empty() && flushed) || grace_over) {
+                const bool settled = tickets.size() == free_tickets.size();
+                if ((settled && flushed) || grace_over) {
                     std::vector<std::uint64_t> ids;
                     ids.reserve(conns.size());
                     for (auto& [id, conn] : conns) ids.push_back(id);
@@ -261,9 +252,9 @@ struct NetServer::Impl {
             }
 
             // Completed responses interrupt poll() through the wake pipe
-            // (ServiceConfig::on_response), so the loop can sleep a full
-            // quantum even with settles outstanding instead of spinning a
-            // 1 ms busy-wait against the worker on single-core hosts.
+            // (on_complete), so the loop can sleep a full quantum even with
+            // settles outstanding instead of spinning a 1 ms busy-wait
+            // against the worker on single-core hosts.
             const int timeout_ms = 25;
             const int rc = ::poll(fds.data(), static_cast<nfds_t>(fds.size()), timeout_ms);
             if (rc < 0 && errno != EINTR) break;  // unrecoverable poll failure
@@ -272,10 +263,6 @@ struct NetServer::Impl {
                 char buf[64];
                 while (::read(wake.r, buf, sizeof(buf)) > 0) {
                 }
-                // Re-arm strictly after draining: a hook write landing in
-                // between stays buffered for the next poll instead of
-                // being eaten with the flag left set (a lost wake-up).
-                wake_flagged.store(false, std::memory_order_release);
             }
             for (std::size_t i = 1; i < fds.size(); ++i) {
                 if (fd_conn[i] == 0) {
@@ -296,8 +283,11 @@ struct NetServer::Impl {
                 if (it != conns.end() && (fds[i].revents & POLLOUT)) flush(it->second);
             }
 
-            settle_futures(/*force_probe=*/drain_seen);
-            // Settled futures may have freed in-flight slots; frames that
+            // Strictly after the pipe drain: a completion pushed after the
+            // swap below finds the vector empty and writes the pipe again,
+            // so no wake-up is lost.
+            settle_completions();
+            // Settled requests may have freed in-flight slots; frames that
             // were buffered while a connection sat at its cap parse now.
             {
                 std::vector<std::uint64_t> ids;
@@ -400,7 +390,7 @@ struct NetServer::Impl {
             Conn& conn = it->second;
             // Backpressure: past the in-flight cap, leave buffered frames
             // unparsed; the poll loop also stops reading the socket, and
-            // settle_futures() re-drives parsing when slots free up.
+            // settle_completions() re-drives parsing when slots free up.
             if (conn.inflight >= cfg.max_inflight_per_connection) return true;
             // Zero-copy: handle_frame decodes res.view before the next
             // assembler call, so the payload is never extracted.
@@ -506,15 +496,12 @@ struct NetServer::Impl {
                                   reject_payload(std::string("bad request frame: ") + e.what()));
                     return conns.count(id) != 0;
                 }
-                PendingResp p;
-                p.conn_id = id;
-                p.request_id = res.header.request_id;
-                p.fut = service.submit(std::move(req));
-                pending.push_back(std::move(p));
                 ++conn.inflight;
-                std::lock_guard lk(tele_mu);
-                ++tele.requests_accepted;
-                ++tele.requests_in_flight;
+                admit(/*stream=*/false);
+                const std::size_t ticket = take_ticket({id, res.header.request_id});
+                service.submit(std::move(req), [this, ticket](serve::AssessResponse r) {
+                    on_complete({ticket, std::move(r)});
+                });
                 return true;
             }
             case FrameType::kGoodbye:
@@ -585,10 +572,7 @@ struct NetServer::Impl {
                     return conns.count(id) != 0;
                 }
                 conn.streams.emplace(sid, Stream(sb));
-                std::lock_guard lk(tele_mu);
-                ++tele.streams_opened;
-                ++tele.requests_accepted;
-                ++tele.requests_in_flight;
+                admit(/*stream=*/true);
                 return true;
             }
             case FrameType::kStreamChunk: {
@@ -684,11 +668,7 @@ struct NetServer::Impl {
                 }
                 resp.result.report.reduction = st.assessor.finalize();
                 conn.streams.erase(sit);
-                {
-                    std::lock_guard lk(tele_mu);
-                    ++tele.requests_completed;
-                    --tele.requests_in_flight;
-                }
+                settle(Fate::kDelivered);
                 enqueue_built_frame(conn, encode_response_frame(resp, sid));
                 return conns.count(id) != 0;
             }
@@ -702,10 +682,7 @@ struct NetServer::Impl {
                 // so no response frame — the request ledger records it as
                 // failed (no delivery), mirroring a vanished peer.
                 conn.streams.erase(sit);
-                std::lock_guard lk(tele_mu);
-                ++tele.streams_aborted;
-                ++tele.requests_failed;
-                --tele.requests_in_flight;
+                settle(Fate::kFailed, 1, /*aborts_streams=*/true);
                 return true;
             }
             default:
@@ -719,12 +696,7 @@ struct NetServer::Impl {
     void abort_stream_rejected(Conn& conn, std::uint64_t stream_id, const std::string& why) {
         conn.streams.erase(stream_id);
         conn.retired_streams.insert(stream_id);
-        {
-            std::lock_guard lk(tele_mu);
-            ++tele.streams_aborted;
-            ++tele.requests_completed;
-            --tele.requests_in_flight;
-        }
+        settle(Fate::kDelivered, 1, /*aborts_streams=*/true);
         // May flush -> close_conn -> erase `conn`; callers re-resolve.
         enqueue_frame(conn, FrameType::kResponse, stream_id, reject_payload(why));
     }
@@ -739,65 +711,90 @@ struct NetServer::Impl {
         }
     }
 
-    void settle_futures(bool force_probe) {
-        // Queue every ready response first, then flush each touched
-        // connection once — a settle burst becomes one send() per peer
-        // instead of one per response. The scan preserves submission order
-        // and is driven by the completion census: the on_response hook
-        // counts every fulfilled promise, so the scan keeps probing while
-        // settles are still owed — an out-of-order completion (instant
-        // cache hit, sharded fast path) queued behind slow head-of-line
-        // requests is delivered the round it lands — and otherwise stops
-        // after a run of not-ready entries, because wait_for(0) on
-        // hundreds of pending futures every loop round is real event-loop
-        // CPU. force_probe (drain) never stops early.
-        std::uint64_t owed = 0;
+    /// The service's completion callback (any worker thread, or the loop
+    /// itself for a submit-time reject). Only the push that makes the
+    /// vector non-empty writes the pipe: one wake-up per settle burst.
+    void on_complete(Completion c) {
+        bool first = false;
         {
-            const std::uint64_t signaled =
-                completions_signaled.load(std::memory_order_acquire);
-            if (signaled > completions_settled) owed = signaled - completions_settled;
+            std::lock_guard lk(completed_mu);
+            first = completed.empty();
+            completed.push_back(std::move(c));
         }
+        if (first) {
+            const char b = 1;
+            [[maybe_unused]] const ssize_t n = ::write(wake.w, &b, 1);
+        }
+    }
+
+    std::size_t take_ticket(Ticket t) {
+        if (free_tickets.empty()) {
+            tickets.push_back(t);
+            return tickets.size() - 1;
+        }
+        const std::size_t slot = free_tickets.back();
+        free_tickets.pop_back();
+        tickets[slot] = t;
+        return slot;
+    }
+
+    void settle_completions() {
+        {
+            std::lock_guard lk(completed_mu);
+            settling.swap(completed);
+        }
+        if (settling.empty()) return;
+        // Queue every response first, then flush each touched connection
+        // once — a settle burst becomes one send() per peer instead of one
+        // per response. Responses go out in completion order.
         std::vector<std::uint64_t> touched;
-        std::size_t kept = 0, miss_streak = 0;
-        for (std::size_t i = 0; i < pending.size(); ++i) {
-            const bool ready =
-                (force_probe || owed > 0 || miss_streak < 16) &&
-                pending[i].fut.wait_for(std::chrono::seconds(0)) ==
-                    std::future_status::ready;
-            if (!ready) {
-                ++miss_streak;
-                if (kept != i) pending[kept] = std::move(pending[i]);
-                ++kept;
-                continue;
-            }
-            miss_streak = 0;
-            ++completions_settled;
-            if (owed > 0) --owed;
-            PendingResp p = std::move(pending[i]);
-            serve::AssessResponse resp = p.fut.get();
-            auto it = conns.find(p.conn_id);
-            {
-                std::lock_guard lk(tele_mu);
-                --tele.requests_in_flight;
-                if (it != conns.end()) {
-                    ++tele.requests_completed;
-                } else {
-                    ++tele.requests_failed;  // peer vanished; response dropped
-                }
-            }
-            if (it != conns.end()) {
-                if (it->second.inflight > 0) --it->second.inflight;
-                queue_frame(it->second, encode_response_frame(resp, p.request_id));
-                if (std::find(touched.begin(), touched.end(), p.conn_id) == touched.end()) {
-                    touched.push_back(p.conn_id);
-                }
+        std::uint64_t delivered = 0;
+        for (Completion& c : settling) {
+            const Ticket t = tickets[c.ticket];
+            free_tickets.push_back(c.ticket);
+            auto it = conns.find(t.conn_id);
+            if (it == conns.end()) continue;  // peer vanished; response dropped
+            ++delivered;
+            if (it->second.inflight > 0) --it->second.inflight;
+            queue_frame(it->second, encode_response_frame(c.resp, t.request_id));
+            if (std::find(touched.begin(), touched.end(), t.conn_id) == touched.end()) {
+                touched.push_back(t.conn_id);
             }
         }
-        pending.resize(kept);
+        settle(Fate::kDelivered, delivered);
+        settle(Fate::kFailed, settling.size() - delivered);
+        settling.clear();
         for (std::uint64_t id : touched) {
             auto it = conns.find(id);
             if (it != conns.end()) flush(it->second);
         }
+    }
+
+    // --- Request ledger --------------------------------------------------
+    //
+    // NetTelemetry's requests_* counters are written only by this pair:
+    // every decoded request and every opened stream enters through
+    // admit() and leaves through exactly one settle() — delivered when its
+    // response frame is queued to a live peer, failed when there is no
+    // peer left to deliver to (or the client aborted the stream).
+
+    enum class Fate { kDelivered, kFailed };
+
+    void admit(bool stream) {
+        std::lock_guard lk(tele_mu);
+        ++tele.requests_accepted;
+        ++tele.requests_in_flight;
+        if (stream) ++tele.streams_opened;
+    }
+
+    /// Settle `n` requests; `aborts_streams` marks them as streams that
+    /// ended without a StreamEnd.
+    void settle(Fate fate, std::uint64_t n = 1, bool aborts_streams = false) {
+        if (n == 0) return;
+        std::lock_guard lk(tele_mu);
+        (fate == Fate::kDelivered ? tele.requests_completed : tele.requests_failed) += n;
+        tele.requests_in_flight -= n;
+        if (aborts_streams) tele.streams_aborted += n;
     }
 
     void enforce_timers() {
@@ -900,15 +897,13 @@ struct NetServer::Impl {
         const std::uint64_t open_streams = it->second.streams.size();
         ::close(it->second.fd);
         conns.erase(it);
-        // Pending futures of this connection settle later and count as
-        // failed deliveries (requests_failed) in settle_futures(); open
-        // streams die with the socket, so their ledger entries settle here.
+        // This connection's submitted requests settle later as failed in
+        // settle_completions(); open streams die with the socket, so they
+        // settle here.
+        settle(Fate::kFailed, open_streams, /*aborts_streams=*/true);
         std::lock_guard lk(tele_mu);
         ++tele.connections_closed;
         --tele.connections_active;
-        tele.streams_aborted += open_streams;
-        tele.requests_failed += open_streams;
-        tele.requests_in_flight -= open_streams;
     }
 
     void count_rejected_frame() {

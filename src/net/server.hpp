@@ -4,8 +4,9 @@
 ///
 /// A single poll()-driven event-loop thread owns the listening socket and
 /// every connection; decoded requests are submitted to an embedded
-/// serve::AssessService (which runs its own device-worker pool), and the
-/// loop settles the returned futures back into response frames. See
+/// serve::AssessService (which runs its own device-worker pool), whose
+/// completion callback hands each response back to the loop to be encoded
+/// into a response frame. See
 /// DESIGN.md §7 for the protocol, backpressure, and drain semantics.
 
 #include <cstdint>

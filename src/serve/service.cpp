@@ -40,7 +40,7 @@ struct RequestTimeout {};
 struct AssessService::Impl {
     struct Pending {
         AssessRequest req;
-        std::promise<AssessResponse> promise;
+        std::function<void(AssessResponse)> done;
         Clock::time_point submitted;
         double backlog_at_submit_s = 0;
         double modeled_full_s = 0;
@@ -234,9 +234,9 @@ struct AssessService::Impl {
         return team;
     }
 
-    /// Fulfills an abandoned request's promise if every normal completion
-    /// path was skipped (an exception escaping the handlers themselves):
-    /// the submitter must never see a broken promise.
+    /// Completes an abandoned request if the normal completion was skipped
+    /// (an exception escaping the handlers themselves): a submitted
+    /// request's `done` must never be dropped uncalled.
     struct CompletionGuard {
         Impl& impl;
         Pending& p;
@@ -253,11 +253,10 @@ struct AssessService::Impl {
         }
     };
 
-    /// Serve one picked request end to end. Always fulfills the promise
-    /// and settles the accounting exactly once, whatever the request path
-    /// throws. Returns false when the device itself failed (feeds the
-    /// circuit breaker); served requests, validation rejects, and timeouts
-    /// return true.
+    /// Serve one picked request end to end. Always completes the request
+    /// exactly once, whatever the request path throws. Returns false when
+    /// the device itself failed (feeds the circuit breaker); served
+    /// requests, validation rejects, and timeouts return true.
     bool process_one(vgpu::Device& dev, Pending& p, std::uint64_t epoch, zc::Dims3& buf_dims,
                      std::unique_ptr<vgpu::DeviceBuffer<float>>& d_orig,
                      std::unique_ptr<vgpu::DeviceBuffer<float>>& d_dec) {
@@ -266,43 +265,37 @@ struct AssessService::Impl {
         resp.spans.queue_s = seconds_since(p.submitted);
         const std::uint64_t faults_before = dev.faults_injected();
         CompletionGuard guard{*this, p};
+        Outcome outcome = Outcome::kRejected;
+        bool device_ok = false;
         try {
             run_request(dev, p, resp, buf_dims, d_orig, d_dec);
-            // += so borrowed-device faults recorded by a sharded run stay.
-            resp.faults += dev.faults_injected() - faults_before;
-            guard.armed = false;
-            complete(p, std::move(resp), Outcome::kServed);
-            return true;
+            outcome = Outcome::kServed;
+            device_ok = true;
         } catch (const RequestTimeout&) {
             resp.timed_out = true;
-            finish_rejected(guard, dev, faults_before, p, resp, Outcome::kTimeout,
-                            "timed out: request exceeded the service's wall-clock ceiling");
-            return true;
+            resp.error = "timed out: request exceeded the service's wall-clock ceiling";
+            outcome = Outcome::kTimeout;
+            device_ok = true;
         } catch (const RequestReject& r) {
-            finish_rejected(guard, dev, faults_before, p, resp, Outcome::kRejected, r.message);
-            return true;
+            resp.error = r.message;
+            device_ok = true;
         } catch (const vgpu::FaultError& e) {
-            finish_rejected(guard, dev, faults_before, p, resp, Outcome::kRejected, e.what());
-            return false;
+            resp.error = e.what();
         } catch (const std::exception& e) {
-            finish_rejected(guard, dev, faults_before, p, resp, Outcome::kRejected,
-                            std::string("request failed: ") + e.what());
-            return false;
+            resp.error = std::string("request failed: ") + e.what();
         } catch (...) {
-            finish_rejected(guard, dev, faults_before, p, resp, Outcome::kRejected,
-                            "request failed: unknown exception");
-            return false;
+            resp.error = "request failed: unknown exception";
         }
-    }
-
-    void finish_rejected(CompletionGuard& guard, vgpu::Device& dev, std::uint64_t faults_before,
-                         Pending& p, AssessResponse& resp, Outcome outcome,
-                         std::string message) {
-        resp.rejected = true;
-        resp.error = std::move(message);
-        resp.faults = dev.faults_injected() - faults_before;
+        if (outcome == Outcome::kServed) {
+            // += so borrowed-device faults recorded by a sharded run stay.
+            resp.faults += dev.faults_injected() - faults_before;
+        } else {
+            resp.rejected = true;
+            resp.faults = dev.faults_injected() - faults_before;
+        }
         guard.armed = false;
         complete(p, std::move(resp), outcome);
+        return device_ok;
     }
 
     /// The request path proper. Throws RequestReject / RequestTimeout /
@@ -474,10 +467,10 @@ struct AssessService::Impl {
         resp.faults += borrowed_faults_after - borrowed_faults_before;
     }
 
-    /// The single completion point for picked requests: fulfills the
-    /// promise and settles every counter the request touched in one
-    /// critical section, so the telemetry invariants hold at every
-    /// intermediate snapshot, not just after drain.
+    /// The single completion point for picked requests: settles every
+    /// counter the request touched in one critical section, so the
+    /// telemetry invariants hold at every intermediate snapshot, not just
+    /// after drain, then hands the response to `done`.
     void complete(Pending& p, AssessResponse resp, Outcome outcome) {
         {
             std::lock_guard lk(mu);
@@ -509,10 +502,7 @@ struct AssessService::Impl {
             --inflight;
             if (queue.empty() && inflight == 0) drain_cv.notify_all();
         }
-        p.promise.set_value(std::move(resp));
-        // Strictly after set_value: a woken poller must see the future
-        // ready, not sleep another quantum on a spurious wake.
-        if (config.on_response) config.on_response();
+        p.done(std::move(resp));
     }
 };
 
@@ -532,10 +522,10 @@ AssessService::~AssessService() {
     for (auto& w : impl_->workers) w.join();
 }
 
-std::future<AssessResponse> AssessService::submit(AssessRequest req) {
+void AssessService::submit(AssessRequest req, std::function<void(AssessResponse)> done) {
     auto pending = std::make_unique<Impl::Pending>();
     pending->submitted = Clock::now();
-    auto future = pending->promise.get_future();
+    pending->done = std::move(done);
 
     std::string invalid;
     if (req.orig.size() == 0) {
@@ -560,7 +550,7 @@ std::future<AssessResponse> AssessService::submit(AssessRequest req) {
             impl_->tele.max_queue_depth =
                 std::max<std::uint64_t>(impl_->tele.max_queue_depth, impl_->queue.size());
             impl_->work_cv.notify_one();
-            return future;
+            return;
         }
         if (invalid.empty()) invalid = "queue full (admission control)";
         // Submit-time rejections settle inside the same critical section
@@ -574,8 +564,14 @@ std::future<AssessResponse> AssessService::submit(AssessRequest req) {
     }
     rejected.rejected = true;
     rejected.error = invalid;
-    pending->promise.set_value(std::move(rejected));
-    if (impl_->config.on_response) impl_->config.on_response();
+    pending->done(std::move(rejected));
+}
+
+std::future<AssessResponse> AssessService::submit(AssessRequest req) {
+    auto promise = std::make_shared<std::promise<AssessResponse>>();
+    auto future = promise->get_future();
+    submit(std::move(req),
+           [promise](AssessResponse resp) { promise->set_value(std::move(resp)); });
     return future;
 }
 

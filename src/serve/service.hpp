@@ -25,7 +25,7 @@ struct ServiceConfig {
     /// Coalesce same-shape requests onto one device/buffer epoch.
     bool coalesce = true;
     /// Admission control: submissions beyond this queue depth are rejected
-    /// immediately (future resolves with rejected=true). 0 = unlimited.
+    /// immediately (the response has rejected=true). 0 = unlimited.
     std::size_t max_queue_depth = 0;
     /// Don't spawn workers in the constructor; callers submit first and
     /// call start() — this makes coalescing deterministic for tests.
@@ -73,19 +73,12 @@ struct ServiceConfig {
     /// (worker i runs the plan with seed + i, so devices fail
     /// independently but reproducibly). Disabled unless faults.enabled().
     vgpu::FaultPlan faults{};
-
-    /// Called right after each response's future is fulfilled — from a
-    /// worker thread, or from the submitting thread for submit-time
-    /// rejections. Event loops embedding the service use this to wake
-    /// their poller instead of sleeping on a timeout quantum. Must be
-    /// cheap and must not throw.
-    std::function<void()> on_response{};
 };
 
 /// In-process multi-device assessment service (the ROADMAP's "serving"
 /// direction): a job queue feeding a pool of virtual devices, with
-/// same-shape request coalescing onto shared upload epochs (the
-/// assess_batch buffer-reuse path), a content-addressed result cache,
+/// same-shape request coalescing onto shared upload epochs (one device
+/// buffer pair reused across a batch), a content-addressed result cache,
 /// deadline-aware degradation via the cost model, and per-request span
 /// telemetry.
 ///
@@ -94,7 +87,7 @@ struct ServiceConfig {
 /// (post-degradation) config, whether the result came from kernels or from
 /// the cache.
 ///
-/// Containment contract: every submitted request's future is fulfilled,
+/// Containment contract: every submitted request completes exactly once,
 /// no matter what the request path throws — decode errors, allocation
 /// failures, kernel aborts (injected or real) all resolve as
 /// `rejected == true` with the error message; workers never die and the
@@ -111,8 +104,14 @@ public:
     AssessService(const AssessService&) = delete;
     AssessService& operator=(const AssessService&) = delete;
 
-    /// Enqueue a request; the future resolves when it is served (or
-    /// rejected). Safe from any thread.
+    /// Enqueue a request; `done` receives its response exactly once, after
+    /// the request's telemetry is settled: on a worker thread, or on the
+    /// calling thread before submit() returns when the request is rejected
+    /// at submission (invalid shape, admission control). `done` must be
+    /// cheap and must not throw. Safe from any thread.
+    void submit(AssessRequest req, std::function<void(AssessResponse)> done);
+
+    /// submit() whose response resolves the returned future.
     [[nodiscard]] std::future<AssessResponse> submit(AssessRequest req);
 
     /// Spawn the worker pool (no-op if already running). Only needed after

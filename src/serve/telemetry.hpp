@@ -34,7 +34,7 @@ struct LatencyHistogram {
 /// Service counters — the observable contract of cuzc::serve. Every
 /// submission is `queued`; every completed one is `served`; every refused
 /// one (admission control, malformed input, device failure, timeout) is
-/// `rejected`, and every rejection still fulfills the submitter's future.
+/// `rejected`, and every rejection still delivers a response.
 ///
 /// Reconciliation invariants, which hold at every telemetry() snapshot
 /// (each transition is a single critical section), not just after drain.
@@ -135,8 +135,8 @@ struct NetTelemetry {
     std::uint64_t connections_active = 0;  ///< gauge
     std::uint64_t requests_accepted = 0;   ///< decoded + submitted to the service
     std::uint64_t requests_completed = 0;  ///< response frame queued to a live peer
-    std::uint64_t requests_failed = 0;     ///< future settled after its peer vanished
-    std::uint64_t requests_in_flight = 0;  ///< gauge: submitted, future not settled
+    std::uint64_t requests_failed = 0;     ///< settled after its peer vanished
+    std::uint64_t requests_in_flight = 0;  ///< gauge: submitted, not yet settled
     std::uint64_t frames_rx = 0;           ///< well-formed frames decoded
     std::uint64_t frames_tx = 0;           ///< frames queued for send
     std::uint64_t frames_rejected = 0;     ///< bad magic/version/checksum/oversize/decode

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <vector>
 
 #include "cuzc/cuzc.hpp"
 #include "harness.hpp"
@@ -185,6 +186,62 @@ TEST(Harness, ParseFlagsRejectsWithUsageExitCode) {
     }
     EXPECT_EQ(count, 200u);  // nothing half-applied
     EXPECT_FALSE(on);
+}
+
+// The list-of-counts kind behind --scales.
+int parse_list(const char* arg, std::vector<std::size_t>& counts) {
+    const char* argv[] = {"bench", arg};
+    std::ostringstream err;
+    return parse_flags(2, argv, {{"--scales", &counts}}, err);
+}
+
+TEST(Harness, ParseFlagsReadsCountLists) {
+    std::vector<std::size_t> scales{8};
+    ASSERT_EQ(parse_list("--scales=8,4", scales), 0);
+    EXPECT_EQ(scales, (std::vector<std::size_t>{8, 4}));
+    ASSERT_EQ(parse_list("--scales=16", scales), 0);
+    EXPECT_EQ(scales, (std::vector<std::size_t>{16}));
+    for (const char* bad : {"--scales=8x", "--scales=8,,4", "--scales=0", "--scales=8,0",
+                            "--scales=8,", "--scales=,8", "--scales=", "--scales",
+                            "--scale=8"}) {
+        EXPECT_EQ(parse_list(bad, scales), 2) << bad;
+    }
+    EXPECT_EQ(scales, (std::vector<std::size_t>{16}));
+}
+
+// BenchConfig's --scale and CUZC_BENCH_SCALE: a typo must not silently
+// select scale 1, the multi-minute full-size run.
+int parse_config(std::initializer_list<const char*> args, const char* env, BenchConfig& cfg,
+                 bool& check) {
+    std::vector<const char*> argv{"bench"};
+    argv.insert(argv.end(), args);
+    std::ostringstream err;
+    return BenchConfig::parse(static_cast<int>(argv.size()), argv.data(), env,
+                              {{"--check", &check}}, cfg, err);
+}
+
+TEST(Harness, BenchConfigParsesScaleStrictly) {
+    BenchConfig cfg;
+    bool check = false;
+    ASSERT_EQ(parse_config({}, nullptr, cfg, check), 0);
+    EXPECT_EQ(cfg.scale, 8u);
+    ASSERT_EQ(parse_config({}, "16", cfg, check), 0);
+    EXPECT_EQ(cfg.scale, 16u);
+    ASSERT_EQ(parse_config({"--scale=4", "--check"}, "16", cfg, check), 0);
+    EXPECT_EQ(cfg.scale, 4u);  // the flag overrides the environment
+    EXPECT_TRUE(check);
+
+    for (const char* bad : {"--scale=8x", "--scale=0", "--scale=junk", "--scale=99999999999",
+                            "--scales=8", "--bogus"}) {
+        BenchConfig c;
+        bool on = false;
+        EXPECT_EQ(parse_config({bad}, nullptr, c, on), 2) << bad;
+    }
+    for (const char* env : {"junk", "8x", "0", "", "-4", "99999999999"}) {
+        BenchConfig c;
+        bool on = false;
+        EXPECT_EQ(parse_config({}, env, c, on), 2) << "CUZC_BENCH_SCALE=" << env;
+    }
 }
 
 }  // namespace

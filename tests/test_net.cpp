@@ -339,6 +339,38 @@ TEST(NetServer, PipelinedRequestsSettleOutOfOrderWaits) {
     EXPECT_EQ(client.outstanding(), 0u);
 }
 
+TEST(NetServer, TinyResponseIsNotHeldBehindALargeHeadOfLineRequest) {
+    // Responses leave in completion order: with two devices, a tiny
+    // request pipelined behind a large one is answered while the large one
+    // is still running, not queued behind it.
+    auto cfg = loopback_config();
+    cfg.service.devices = 2;
+    net::NetServer server(cfg);
+    server.start();
+    net::NetClient client(client_config(server.port()));
+
+    serve::AssessRequest large;
+    large.orig = tst::smooth_field({64, 64, 64}, 9);
+    large.dec = tst::perturbed(large.orig, 0.01, 109);
+    large.cfg = zc::MetricsConfig::all();
+    const std::uint64_t large_id = client.submit(large);
+    const std::uint64_t tiny_id = client.submit(make_request(10));
+
+    std::optional<std::pair<std::uint64_t, serve::AssessResponse>> first;
+    for (int round = 0; round < 600 && !first; ++round) {
+        client.pump(0.05);
+        first = client.take_response();
+    }
+    ASSERT_TRUE(first.has_value());
+    EXPECT_EQ(first->first, tiny_id);
+    EXPECT_FALSE(first->second.rejected) << first->second.error;
+    EXPECT_EQ(client.outstanding(), 1u);
+
+    const auto resp = client.wait(large_id);
+    EXPECT_FALSE(resp.rejected) << resp.error;
+    EXPECT_EQ(client.outstanding(), 0u);
+}
+
 TEST(NetServer, InflightCapBackpressureStillCompletesEverything) {
     auto cfg = loopback_config();
     cfg.max_inflight_per_connection = 2;  // force the POLLIN-drop path

@@ -1,4 +1,4 @@
-// Tests for the compressor-integration pipeline and batch assessment.
+// Tests for the compressor-integration pipeline.
 
 #include <gtest/gtest.h>
 
@@ -52,79 +52,6 @@ TEST(Pipeline, AssessCompressedRejectsWrongShape) {
     const auto comp = sz::compress(b.view(), scfg);
     vgpu::Device dev;
     EXPECT_THROW((void)czc::assess_compressed(dev, a.view(), comp.bytes, zc::MetricsConfig{}),
-                 std::invalid_argument);
-}
-
-TEST(Pipeline, BatchMatchesIndividualAssessment) {
-    const zc::Dims3 dims{12, 12, 12};
-    std::vector<zc::Field> origs, decs;
-    for (std::uint64_t s = 0; s < 3; ++s) {
-        origs.push_back(tst::smooth_field(dims, s + 1));
-        decs.push_back(tst::perturbed(origs.back(), 0.01, s + 50));
-    }
-    zc::MetricsConfig cfg;
-    cfg.ssim_window = 4;
-
-    vgpu::Device dev;
-    const auto batch = czc::assess_batch(dev, origs, decs, cfg);
-    ASSERT_EQ(batch.size(), 3u);
-    for (std::size_t i = 0; i < 3; ++i) {
-        vgpu::Device solo;
-        const auto single = czc::assess(solo, origs[i].view(), decs[i].view(), cfg);
-        tst::expect_reports_close(single.report, batch[i].report, 1e-12);
-    }
-}
-
-TEST(Pipeline, BatchReusesDeviceBuffers) {
-    const zc::Dims3 dims{10, 10, 10};
-    std::vector<zc::Field> origs, decs;
-    for (std::uint64_t s = 0; s < 4; ++s) {
-        origs.push_back(tst::smooth_field(dims, s + 9));
-        decs.push_back(tst::perturbed(origs.back(), 0.02, s));
-    }
-    vgpu::Device dev;
-    (void)czc::assess_batch(dev, origs, decs, zc::MetricsConfig::all());
-    // 2 uploads per field, nothing else (buffer construction uploads none).
-    EXPECT_EQ(dev.h2d_bytes(), 4u * 2 * dims.volume() * sizeof(float));
-}
-
-TEST(Pipeline, BatchAllocatesExactlyOneBufferPair) {
-    // The buffer-reuse contract, stated in allocations rather than bytes:
-    // N same-shape fields cost N upload pairs and ZERO per-field device
-    // allocations beyond the single pair created up front.
-    const zc::Dims3 dims{9, 10, 11};
-    const std::size_t n = 5;
-    std::vector<zc::Field> origs, decs;
-    for (std::uint64_t s = 0; s < n; ++s) {
-        origs.push_back(tst::smooth_field(dims, s + 21));
-        decs.push_back(tst::perturbed(origs.back(), 0.01, s + 7));
-    }
-    vgpu::Device dev;
-    zc::MetricsConfig cfg;
-    cfg.ssim_window = 4;
-    (void)czc::assess_batch(dev, origs, decs, cfg);
-    EXPECT_EQ(dev.h2d_bytes(), n * 2 * dims.volume() * sizeof(float));
-
-    // Reference point: per-field assess() allocates a field pair every
-    // time. Kernel-internal scratch allocations are identical on both
-    // paths, so the batch must save exactly 2*(n-1) field allocations.
-    vgpu::Device naive;
-    for (std::size_t i = 0; i < n; ++i) {
-        (void)czc::assess(naive, origs[i].view(), decs[i].view(), cfg);
-    }
-    EXPECT_EQ(naive.alloc_count() - dev.alloc_count(), 2u * (n - 1));
-    EXPECT_EQ(naive.alloc_bytes() - dev.alloc_bytes(),
-              2u * (n - 1) * dims.volume() * sizeof(float));
-    EXPECT_EQ(naive.h2d_bytes(), dev.h2d_bytes());
-}
-
-TEST(Pipeline, BatchRejectsMixedShapes) {
-    std::vector<zc::Field> origs, decs;
-    origs.push_back(tst::smooth_field({8, 8, 8}, 1));
-    origs.push_back(tst::smooth_field({8, 8, 9}, 2));
-    decs = origs;
-    vgpu::Device dev;
-    EXPECT_THROW((void)czc::assess_batch(dev, origs, decs, zc::MetricsConfig{}),
                  std::invalid_argument);
 }
 

@@ -8,10 +8,14 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <condition_variable>
+#include <functional>
 #include <future>
+#include <mutex>
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -729,6 +733,135 @@ TEST(Serve, DestructorDrainsAcceptedRequests) {
     const auto resp = future.get();
     EXPECT_FALSE(resp.rejected);
     EXPECT_GT(resp.result.report.reduction.psnr_db, 0.0);
+}
+
+// The callback flavour of submit(): `done` runs exactly once on every
+// completion path, and the future flavour (a wrapper over it) resolves on
+// each of them too.
+
+/// Records every `done` call and the thread it ran on. Read calls() only
+/// after the service is destroyed: its destructor joins the workers, so
+/// every callback has run by then and none can run later.
+class DoneLog {
+public:
+    struct Call {
+        std::thread::id thread;
+        serve::AssessResponse resp;
+    };
+
+    std::function<void(serve::AssessResponse)> done() {
+        return [this](serve::AssessResponse resp) {
+            std::lock_guard lk(mu_);
+            calls_.push_back({std::this_thread::get_id(), std::move(resp)});
+            cv_.notify_all();
+        };
+    }
+    void wait_for(std::size_t n) {
+        std::unique_lock lk(mu_);
+        cv_.wait(lk, [&] { return calls_.size() >= n; });
+    }
+    std::size_t count() {
+        std::lock_guard lk(mu_);
+        return calls_.size();
+    }
+    const std::vector<Call>& calls() const { return calls_; }
+
+private:
+    std::mutex mu_;
+    std::condition_variable cv_;
+    std::vector<Call> calls_;
+};
+
+TEST(ServeCallback, ServedMissAndHitCallDoneOnce) {
+    DoneLog log;
+    std::future<serve::AssessResponse> via_future;
+    {
+        serve::AssessService service;
+        service.submit(make_request(81), log.done());
+        log.wait_for(1);  // the miss is in the cache before its done runs
+        service.submit(make_request(81), log.done());
+        via_future = service.submit(make_request(81));
+    }
+    ASSERT_EQ(log.calls().size(), 2u);
+    const auto& miss = log.calls()[0].resp;
+    const auto& hit = log.calls()[1].resp;
+    EXPECT_FALSE(miss.rejected) << miss.error;
+    EXPECT_FALSE(miss.cache_hit);
+    EXPECT_TRUE(hit.cache_hit);
+    tst::expect_reports_close(hit.result.report, miss.result.report, 0.0);
+    const auto resp = via_future.get();
+    EXPECT_TRUE(resp.cache_hit);
+    tst::expect_reports_close(resp.result.report, miss.result.report, 0.0);
+}
+
+TEST(ServeCallback, SubmitTimeRejectsCallDoneOnTheSubmittingThread) {
+    DoneLog log;
+    std::future<serve::AssessResponse> invalid_future, full_future;
+    {
+        serve::ServiceConfig cfg;
+        cfg.start_paused = true;
+        cfg.max_queue_depth = 1;
+        serve::AssessService service(cfg);
+        serve::AssessRequest bad;
+        bad.orig = tst::smooth_field({4, 4, 4}, 1);
+        bad.dec = tst::smooth_field({4, 4, 5}, 1);  // shape mismatch
+        service.submit(bad, log.done());
+        EXPECT_EQ(log.count(), 1u);  // before submit() returned
+        service.submit(make_request(82), log.done());  // queued
+        service.submit(make_request(83), log.done());  // over the limit
+        EXPECT_EQ(log.count(), 2u);
+        invalid_future = service.submit(bad);
+        full_future = service.submit(make_request(84));
+        EXPECT_EQ(invalid_future.wait_for(std::chrono::seconds(0)), std::future_status::ready);
+        EXPECT_EQ(full_future.wait_for(std::chrono::seconds(0)), std::future_status::ready);
+    }  // the destructor serves the queued request
+    ASSERT_EQ(log.calls().size(), 3u);
+    const auto& invalid = log.calls()[0];
+    const auto& full = log.calls()[1];
+    const auto& served = log.calls()[2];
+    EXPECT_EQ(invalid.thread, std::this_thread::get_id());
+    EXPECT_NE(invalid.resp.error.find("mismatch"), std::string::npos);
+    EXPECT_EQ(full.thread, std::this_thread::get_id());
+    EXPECT_NE(full.resp.error.find("queue full"), std::string::npos);
+    EXPECT_NE(served.thread, std::this_thread::get_id());
+    EXPECT_FALSE(served.resp.rejected) << served.resp.error;
+    EXPECT_NE(invalid_future.get().error.find("mismatch"), std::string::npos);
+    EXPECT_NE(full_future.get().error.find("queue full"), std::string::npos);
+}
+
+TEST(ServeCallback, FaultAndTimeoutRejectsCallDoneOnce) {
+    DoneLog log;
+    std::future<serve::AssessResponse> fault_future, timeout_future;
+    {
+        vgpu::FaultPlan plan;
+        plan.seed = 11;
+        plan.kernel_throw = 1.0;
+        auto cfg = fault_config(plan);
+        cfg.max_retries = 0;
+        cfg.breaker_threshold = 0;
+        serve::AssessService service(cfg);
+        service.submit(make_request(85), log.done());
+        fault_future = service.submit(make_request(86));
+    }
+    {
+        serve::ServiceConfig cfg;
+        cfg.request_timeout_s = 1e-9;
+        serve::AssessService service(cfg);
+        service.submit(make_request(87), log.done());
+        timeout_future = service.submit(make_request(88));
+    }
+    ASSERT_EQ(log.calls().size(), 2u);
+    const auto& fault = log.calls()[0].resp;
+    const auto& timeout = log.calls()[1].resp;
+    EXPECT_TRUE(fault.rejected);
+    EXPECT_FALSE(fault.timed_out);
+    EXPECT_NE(fault.error.find("injected fault"), std::string::npos);
+    EXPECT_TRUE(timeout.rejected);
+    EXPECT_TRUE(timeout.timed_out);
+    const auto via_fault = fault_future.get();
+    EXPECT_TRUE(via_fault.rejected);
+    EXPECT_NE(via_fault.error.find("injected fault"), std::string::npos);
+    EXPECT_TRUE(timeout_future.get().timed_out);
 }
 
 // Sharded serving: a request whose modeled cost clears the threshold fans
