@@ -9,6 +9,9 @@
 /// services both directions, so a pipelined submit burst can never
 /// deadlock against server backpressure — while the server stops reading
 /// us (its per-connection in-flight cap), we keep draining its responses.
+/// Bytes move through the same FrameSocket (socket.hpp) as the server's;
+/// the client sends once 128 KiB are queued (or on pump/wait), reads until
+/// the kernel would block, and turns a socket error into WireError.
 
 #include <cstdint>
 #include <memory>

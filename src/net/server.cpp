@@ -1,12 +1,9 @@
 #include "server.hpp"
 
 #include <arpa/inet.h>
-#include <fcntl.h>
 #include <netinet/in.h>
-#include <netinet/tcp.h>
 #include <poll.h>
 #include <sys/socket.h>
-#include <sys/uio.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -14,7 +11,6 @@
 #include <cerrno>
 #include <chrono>
 #include <cstring>
-#include <deque>
 #include <mutex>
 #include <stdexcept>
 #include <thread>
@@ -22,6 +18,7 @@
 #include <unordered_set>
 #include <vector>
 
+#include "socket.hpp"
 #include "wire.hpp"
 #include "zc/streaming.hpp"
 
@@ -33,18 +30,6 @@ using Clock = std::chrono::steady_clock;
 
 double seconds_between(Clock::time_point a, Clock::time_point b) {
     return std::chrono::duration<double>(b - a).count();
-}
-
-void set_nonblocking(int fd) {
-    const int flags = ::fcntl(fd, F_GETFL, 0);
-    if (flags >= 0) ::fcntl(fd, F_SETFL, flags | O_NONBLOCK);
-}
-
-[[nodiscard]] std::vector<std::uint8_t> reject_payload(std::string message) {
-    serve::AssessResponse resp;
-    resp.rejected = true;
-    resp.error = std::move(message);
-    return encode_response(resp);
 }
 
 }  // namespace
@@ -97,7 +82,6 @@ struct NetServer::Impl {
 
     ~Impl() {
         if (listen_fd >= 0) ::close(listen_fd);
-        for (auto& [id, conn] : conns) ::close(conn.fd);
     }
 
     /// One open v2 streaming session: chunks feed the incremental assessor
@@ -113,13 +97,9 @@ struct NetServer::Impl {
     };
 
     struct Conn {
-        int fd = -1;
+        FrameSocket sock;
         std::uint64_t id = 0;
-        FrameAssembler assembler;
-        std::deque<std::vector<std::uint8_t>> write_q;
-        std::size_t write_bytes = 0;  ///< unsent bytes across write_q
-        std::size_t front_off = 0;    ///< sent prefix of write_q.front()
-        std::size_t inflight = 0;     ///< requests submitted, response not yet queued
+        std::size_t inflight = 0;  ///< requests submitted, response not yet queued
         /// Wire revision negotiated by the Hello (stream frames need >= 2).
         std::uint16_t version = kVersion;
         /// Open streaming sessions by stream id (the frames' request_id).
@@ -141,7 +121,7 @@ struct NetServer::Impl {
         Clock::time_point opened;
         Clock::time_point last_activity;
 
-        explicit Conn(std::size_t max_payload) : assembler(max_payload) {}
+        explicit Conn(FrameSocket s) : sock(std::move(s)) {}
     };
 
     /// Wire identity of a submitted request.
@@ -218,7 +198,7 @@ struct NetServer::Impl {
                 // response flushed (or the grace expired on stuck peers).
                 const bool flushed = std::all_of(
                     conns.begin(), conns.end(),
-                    [](const auto& kv) { return kv.second.write_q.empty(); });
+                    [](const auto& kv) { return kv.second.sock.queued_bytes() == 0; });
                 const bool grace_over =
                     seconds_between(drain_start, Clock::now()) > kDrainGraceSeconds;
                 const bool settled = tickets.size() == free_tickets.size();
@@ -243,11 +223,11 @@ struct NetServer::Impl {
                 short events = 0;
                 const bool read_open = !drain_seen && !conn.goodbye &&
                                        conn.inflight < cfg.max_inflight_per_connection &&
-                                       may_buffer_more(conn);
+                                       conn.sock.may_buffer_more(cfg.max_read_buffer);
                 if (read_open) events |= POLLIN;
-                if (!conn.write_q.empty()) events |= POLLOUT;
+                if (conn.sock.queued_bytes() > 0) events |= POLLOUT;
                 // Always watch for hangup/errors even when backpressured.
-                fds.push_back({conn.fd, events, 0});
+                fds.push_back({conn.sock.fd(), events, 0});
                 fd_conn.push_back(id);
             }
 
@@ -293,7 +273,7 @@ struct NetServer::Impl {
                 std::vector<std::uint64_t> ids;
                 ids.reserve(conns.size());
                 for (auto& [id, conn] : conns) {
-                    if (conn.assembler.buffered() >= FrameHeader::kSize) ids.push_back(id);
+                    if (conn.sock.inbound().buffered() >= FrameHeader::kSize) ids.push_back(id);
                 }
                 for (std::uint64_t id : ids) process_frames(id);
             }
@@ -305,36 +285,15 @@ struct NetServer::Impl {
 
     static constexpr double kDrainGraceSeconds = 10.0;
 
-    /// Whether a connection may buffer more inbound bytes. max_read_buffer
-    /// is a soft cap: a valid in-limit frame at the stream head may exceed
-    /// it (the advertised max_frame_payload can be larger), so reads stay
-    /// open until that frame is whole — otherwise a request in
-    /// (max_read_buffer, max_frame_payload] could never finish assembling
-    /// and the connection would wedge with POLLIN permanently dropped.
-    /// The header peek runs only once the soft cap is hit.
-    [[nodiscard]] bool may_buffer_more(const Conn& conn) const {
-        const std::size_t buffered = conn.assembler.buffered();
-        if (buffered < cfg.max_read_buffer) return true;
-        return buffered < conn.assembler.pending_frame_bytes();
-    }
-
     void do_accept() {
         for (;;) {
             if (conns.size() >= cfg.max_connections) return;
             const int fd = ::accept(listen_fd, nullptr, nullptr);
             if (fd < 0) return;  // EAGAIN or transient
             set_nonblocking(fd);
-            const int one = 1;
-            ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-            if (cfg.socket_buffer_bytes > 0) {
-                const int sz = static_cast<int>(
-                    std::min<std::size_t>(cfg.socket_buffer_bytes, 1ull << 30));
-                ::setsockopt(fd, SOL_SOCKET, SO_RCVBUF, &sz, sizeof(sz));
-                ::setsockopt(fd, SOL_SOCKET, SO_SNDBUF, &sz, sizeof(sz));
-            }
+            tune_socket(fd, cfg.socket_buffer_bytes);
             const std::uint64_t id = next_conn_id++;
-            Conn conn(cfg.max_frame_payload);
-            conn.fd = fd;
+            Conn conn(FrameSocket(fd, cfg.max_frame_payload));
             conn.id = id;
             conn.opened = conn.last_activity = Clock::now();
             conns.emplace(id, std::move(conn));
@@ -352,30 +311,15 @@ struct NetServer::Impl {
         auto it = conns.find(id);
         if (it == conns.end()) return false;
         Conn& conn = it->second;
-        constexpr std::size_t kChunk = 64 * 1024;
-        std::size_t taken = 0;
-        for (;;) {
-            // recv() straight into the assembler's tail — no bounce buffer.
-            const std::span<std::uint8_t> room = conn.assembler.writable(kChunk);
-            const ssize_t n = ::recv(conn.fd, room.data(), room.size(), 0);
-            if (n > 0) {
-                conn.last_activity = Clock::now();
-                {
-                    std::lock_guard lk(tele_mu);
-                    tele.bytes_rx += static_cast<std::uint64_t>(n);
-                }
-                conn.assembler.commit(static_cast<std::size_t>(n));
-                taken += static_cast<std::size_t>(n);
-                // Yield to frame processing before buffering unboundedly.
-                if (taken >= 2 * kChunk || !may_buffer_more(conn)) break;
-                continue;
-            }
-            if (n == 0) {  // peer closed
-                close_conn(id);
-                return false;
-            }
-            if (errno == EAGAIN || errno == EWOULDBLOCK) break;
-            if (errno == EINTR) continue;
+        // Two recv() chunks per pass, then yield to frame processing.
+        const FrameSocket::Io io =
+            conn.sock.receive(2 * FrameSocket::kRecvChunk, cfg.max_read_buffer);
+        if (io.bytes > 0) {
+            conn.last_activity = Clock::now();
+            std::lock_guard lk(tele_mu);
+            tele.bytes_rx += io.bytes;
+        }
+        if (io.eof || io.error != 0) {
             close_conn(id);
             return false;
         }
@@ -394,7 +338,7 @@ struct NetServer::Impl {
             if (conn.inflight >= cfg.max_inflight_per_connection) return true;
             // Zero-copy: handle_frame decodes res.view before the next
             // assembler call, so the payload is never extracted.
-            FrameAssembler::Result res = conn.assembler.next_view();
+            FrameAssembler::Result res = conn.sock.inbound().next_view();
             switch (res.status) {
                 case FrameAssembler::Status::kNeedMore:
                     return true;
@@ -405,28 +349,21 @@ struct NetServer::Impl {
                     close_conn(id);
                     return false;
                 }
-                case FrameAssembler::Status::kOversize: {
-                    count_rejected_frame();
+                case FrameAssembler::Status::kOversize:
+                case FrameAssembler::Status::kBadChecksum: {
                     // Pre-handshake peers get no protocol frames: close,
                     // like any other pre-Hello violation (a conforming
                     // client would otherwise see a Response before its
                     // HelloAck).
                     if (!conn.handshaken) {
+                        count_rejected_frame();
                         close_conn(id);
                         return false;
                     }
-                    enqueue_frame(conn, FrameType::kResponse, res.header.request_id,
-                                  reject_payload("oversized frame rejected"));
-                    break;
-                }
-                case FrameAssembler::Status::kBadChecksum: {
-                    count_rejected_frame();
-                    if (!conn.handshaken) {
-                        close_conn(id);
-                        return false;
-                    }
-                    enqueue_frame(conn, FrameType::kResponse, res.header.request_id,
-                                  reject_payload("frame checksum mismatch"));
+                    reject_frame(conn, res.header.request_id,
+                                 res.status == FrameAssembler::Status::kOversize
+                                     ? "oversized frame rejected"
+                                     : "frame checksum mismatch");
                     break;
                 }
                 case FrameAssembler::Status::kFrame: {
@@ -479,7 +416,7 @@ struct NetServer::Impl {
             ack.max_frame_payload = cfg.max_frame_payload;
             ack.max_inflight_per_connection = cfg.max_inflight_per_connection;
             ack.max_streams_per_connection = cfg.max_streams_per_connection;
-            enqueue_frame(conn, FrameType::kHelloAck, 0, encode_hello_ack(ack));
+            enqueue_frame(conn, encode_frame(FrameType::kHelloAck, 0, encode_hello_ack(ack)));
             return conns.count(id) != 0;
         }
         switch (type) {
@@ -491,10 +428,8 @@ struct NetServer::Impl {
                     // the worker's device.
                     req = decode_request_view(res.view, res.slab);
                 } catch (const WireError& e) {
-                    count_rejected_frame();
-                    enqueue_frame(conn, FrameType::kResponse, res.header.request_id,
-                                  reject_payload(std::string("bad request frame: ") + e.what()));
-                    return conns.count(id) != 0;
+                    return reject_frame(conn, res.header.request_id,
+                                        std::string("bad request frame: ") + e.what());
                 }
                 ++conn.inflight;
                 admit(/*stream=*/false);
@@ -546,30 +481,18 @@ struct NetServer::Impl {
                 try {
                     sb = decode_stream_begin(res.view);
                 } catch (const WireError& e) {
-                    count_rejected_frame();
-                    enqueue_frame(conn, FrameType::kResponse, sid,
-                                  reject_payload(std::string("bad stream-begin frame: ") +
-                                                 e.what()));
-                    return conns.count(id) != 0;
+                    return reject_frame(conn, sid,
+                                        std::string("bad stream-begin frame: ") + e.what());
                 }
                 if (conn.streams.count(sid) != 0) {
-                    count_rejected_frame();
-                    enqueue_frame(conn, FrameType::kResponse, sid,
-                                  reject_payload("stream id already open"));
-                    return conns.count(id) != 0;
+                    return reject_frame(conn, sid, "stream id already open");
                 }
                 if (conn.retired_streams.count(sid) != 0) {
-                    count_rejected_frame();
-                    enqueue_frame(
-                        conn, FrameType::kResponse, sid,
-                        reject_payload("stream id was already settled on this connection"));
-                    return conns.count(id) != 0;
+                    return reject_frame(conn, sid,
+                                        "stream id was already settled on this connection");
                 }
                 if (conn.streams.size() >= cfg.max_streams_per_connection) {
-                    count_rejected_frame();
-                    enqueue_frame(conn, FrameType::kResponse, sid,
-                                  reject_payload("per-connection stream limit reached"));
-                    return conns.count(id) != 0;
+                    return reject_frame(conn, sid, "per-connection stream limit reached");
                 }
                 conn.streams.emplace(sid, Stream(sb));
                 admit(/*stream=*/true);
@@ -622,23 +545,15 @@ struct NetServer::Impl {
                 try {
                     se = decode_stream_end(res.view);
                 } catch (const WireError& e) {
+                    const std::string why = std::string("bad stream-end frame: ") + e.what();
+                    if (conn.streams.count(sid) == 0) return reject_frame(conn, sid, why);
                     count_rejected_frame();
-                    if (conn.streams.count(sid) != 0) {
-                        abort_stream_rejected(conn, sid,
-                                              std::string("bad stream-end frame: ") + e.what());
-                    } else {
-                        enqueue_frame(conn, FrameType::kResponse, sid,
-                                      reject_payload(std::string("bad stream-end frame: ") +
-                                                     e.what()));
-                    }
+                    abort_stream_rejected(conn, sid, why);
                     return conns.count(id) != 0;
                 }
                 auto sit = conn.streams.find(sid);
                 if (sit == conn.streams.end()) {
-                    count_rejected_frame();
-                    enqueue_frame(conn, FrameType::kResponse, sid,
-                                  reject_payload("stream-end for an unknown stream"));
-                    return conns.count(id) != 0;
+                    return reject_frame(conn, sid, "stream-end for an unknown stream");
                 }
                 Stream& st = sit->second;
                 const std::uint64_t volume = st.decl.dims.volume();
@@ -669,7 +584,7 @@ struct NetServer::Impl {
                 resp.result.report.reduction = st.assessor.finalize();
                 conn.streams.erase(sit);
                 settle(Fate::kDelivered);
-                enqueue_built_frame(conn, encode_response_frame(resp, sid));
+                enqueue_frame(conn, encode_response_frame(resp, sid));
                 return conns.count(id) != 0;
             }
             case FrameType::kStreamAbort: {
@@ -698,7 +613,7 @@ struct NetServer::Impl {
         conn.retired_streams.insert(stream_id);
         settle(Fate::kDelivered, 1, /*aborts_streams=*/true);
         // May flush -> close_conn -> erase `conn`; callers re-resolve.
-        enqueue_frame(conn, FrameType::kResponse, stream_id, reject_payload(why));
+        enqueue_reject(conn, stream_id, why);
     }
 
     /// Reject-settle every open stream of one connection (id-based: each
@@ -819,83 +734,58 @@ struct NetServer::Impl {
         std::vector<std::uint64_t> done;
         for (auto& [id, conn] : conns) {
             if (conn.goodbye && conn.inflight == 0 && conn.streams.empty() &&
-                conn.write_q.empty()) {
+                conn.sock.queued_bytes() == 0) {
                 done.push_back(id);
             }
         }
         for (std::uint64_t id : done) close_conn(id);
     }
 
-    void enqueue_frame(Conn& conn, FrameType type, std::uint64_t request_id,
-                       std::vector<std::uint8_t> payload) {
-        enqueue_built_frame(conn, encode_frame(type, request_id, payload));
+    /// Count one bad frame and answer it with a rejected response.
+    /// Returns false when the connection was closed.
+    bool reject_frame(Conn& conn, std::uint64_t request_id, std::string why) {
+        const std::uint64_t id = conn.id;
+        count_rejected_frame();
+        enqueue_reject(conn, request_id, std::move(why));
+        return conns.count(id) != 0;
+    }
+
+    /// Answer one request or stream with a rejected response frame.
+    void enqueue_reject(Conn& conn, std::uint64_t request_id, std::string why) {
+        serve::AssessResponse resp;
+        resp.rejected = true;
+        resp.error = std::move(why);
+        enqueue_frame(conn, encode_response_frame(resp, request_id));
     }
 
     /// Queue without flushing (batched senders flush once afterwards).
     void queue_frame(Conn& conn, std::vector<std::uint8_t> frame) {
-        conn.write_q.push_back(std::move(frame));
-        conn.write_bytes += conn.write_q.back().size();
+        conn.sock.queue(std::move(frame));
         std::lock_guard lk(tele_mu);
         ++tele.frames_tx;
     }
 
-    void enqueue_built_frame(Conn& conn, std::vector<std::uint8_t> frame) {
+    void enqueue_frame(Conn& conn, std::vector<std::uint8_t> frame) {
         queue_frame(conn, std::move(frame));
         flush(conn);
     }
 
     void flush(Conn& conn) {
-        while (!conn.write_q.empty()) {
-            // Scatter-gather across queued frames: a settle burst goes out
-            // in one syscall instead of one per response.
-            iovec iov[64];
-            int n_iov = 0;
-            std::size_t off = conn.front_off;
-            for (auto it = conn.write_q.begin(); it != conn.write_q.end() && n_iov < 64; ++it) {
-                iov[n_iov].iov_base = it->data() + off;
-                iov[n_iov].iov_len = it->size() - off;
-                ++n_iov;
-                off = 0;
-            }
-            msghdr msg{};
-            msg.msg_iov = iov;
-            msg.msg_iovlen = static_cast<std::size_t>(n_iov);
-            const ssize_t n = ::sendmsg(conn.fd, &msg, MSG_NOSIGNAL);
-            if (n < 0) {
-                if (errno == EAGAIN || errno == EWOULDBLOCK) break;
-                if (errno == EINTR) continue;
-                close_conn(conn.id);
-                return;
-            }
+        const FrameSocket::Io io = conn.sock.flush();
+        if (io.bytes > 0) {
             conn.last_activity = Clock::now();
-            conn.write_bytes -= static_cast<std::size_t>(n);
-            {
-                std::lock_guard lk(tele_mu);
-                tele.bytes_tx += static_cast<std::uint64_t>(n);
-            }
-            std::size_t left = static_cast<std::size_t>(n);
-            while (left > 0) {
-                const std::size_t avail = conn.write_q.front().size() - conn.front_off;
-                if (left >= avail) {
-                    left -= avail;
-                    conn.write_q.pop_front();
-                    conn.front_off = 0;
-                } else {
-                    conn.front_off += left;
-                    left = 0;
-                }
-            }
+            std::lock_guard lk(tele_mu);
+            tele.bytes_tx += io.bytes;
         }
         // Slow-client disconnect: the peer is not draining its responses
         // and the bounded write queue is exhausted.
-        if (conn.write_bytes > cfg.max_write_buffer) close_conn(conn.id);
+        if (io.error != 0 || conn.sock.queued_bytes() > cfg.max_write_buffer) close_conn(conn.id);
     }
 
     void close_conn(std::uint64_t id) {
         auto it = conns.find(id);
         if (it == conns.end()) return;
         const std::uint64_t open_streams = it->second.streams.size();
-        ::close(it->second.fd);
         conns.erase(it);
         // This connection's submitted requests settle later as failed in
         // settle_completions(); open streams die with the socket, so they

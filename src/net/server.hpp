@@ -6,7 +6,9 @@
 /// every connection; decoded requests are submitted to an embedded
 /// serve::AssessService (which runs its own device-worker pool), whose
 /// completion callback hands each response back to the loop to be encoded
-/// into a response frame. See
+/// into a response frame. Each connection's bytes move through a
+/// FrameSocket (socket.hpp); the server adds the policy: the read caps,
+/// one flush per settle burst, and the slow-client disconnect. See
 /// DESIGN.md §7 for the protocol, backpressure, and drain semantics.
 
 #include <cstdint>

@@ -386,12 +386,12 @@ void encode_request_into(Writer& w, const serve::AssessRequest& req) {
     w.bytes(req.sz_stream);
 }
 
-/// Patch the frame header into a buffer whose first kSize bytes were left
-/// as a gap by Writer::zeros, checksumming the payload that follows.
-[[nodiscard]] std::vector<std::uint8_t> seal_frame(Writer&& w, FrameType type,
-                                                   std::uint64_t request_id,
+/// The one frame-header writer: patches the header into a buffer whose
+/// first kSize bytes were left as a gap, checksumming the payload that
+/// follows.
+[[nodiscard]] std::vector<std::uint8_t> seal_frame(std::vector<std::uint8_t> frame,
+                                                   FrameType type, std::uint64_t request_id,
                                                    std::uint16_t version = kVersion) {
-    std::vector<std::uint8_t> frame = w.take();
     const std::span<const std::uint8_t> payload(frame.data() + FrameHeader::kSize,
                                                 frame.size() - FrameHeader::kSize);
     if (payload.size() > 0xffffffffull) {
@@ -454,7 +454,7 @@ std::vector<std::uint8_t> encode_request_frame(const serve::AssessRequest& req,
     Writer w;
     w.zeros(FrameHeader::kSize);
     encode_request_into(w, req);
-    return seal_frame(std::move(w), FrameType::kRequest, request_id);
+    return seal_frame(w.take(), FrameType::kRequest, request_id);
 }
 
 serve::AssessRequest decode_request(std::span<const std::uint8_t> payload) {
@@ -538,7 +538,7 @@ std::vector<std::uint8_t> encode_response_frame(const serve::AssessResponse& res
     Writer w;
     w.zeros(FrameHeader::kSize);
     encode_response_into(w, resp);
-    return seal_frame(std::move(w), FrameType::kResponse, request_id);
+    return seal_frame(w.take(), FrameType::kResponse, request_id);
 }
 
 serve::AssessResponse decode_response(std::span<const std::uint8_t> payload) {
@@ -622,7 +622,7 @@ std::vector<std::uint8_t> encode_stream_chunk_frame(std::uint64_t stream_id, std
     w.u64(seq);
     w.f32_span(orig);
     w.f32_span(dec);
-    return seal_frame(std::move(w), FrameType::kStreamChunk, stream_id, kVersionStreaming);
+    return seal_frame(w.take(), FrameType::kStreamChunk, stream_id, kVersionStreaming);
 }
 
 StreamChunk decode_stream_chunk(std::span<const std::uint8_t> payload) {
@@ -686,19 +686,11 @@ std::uint64_t digest_report(std::uint64_t h, const zc::AssessmentReport& report)
 std::vector<std::uint8_t> encode_frame(FrameType type, std::uint64_t request_id,
                                        std::span<const std::uint8_t> payload,
                                        std::uint16_t version) {
-    if (payload.size() > 0xffffffffull) {
-        throw WireError("frame payload exceeds the u32 length field");
-    }
     std::vector<std::uint8_t> frame;
     frame.reserve(FrameHeader::kSize + payload.size());
-    put_le(frame, kMagic);
-    put_le(frame, version);
-    put_le(frame, static_cast<std::uint16_t>(type));
-    put_le(frame, request_id);
-    put_le(frame, static_cast<std::uint32_t>(payload.size()));
-    put_le(frame, frame_checksum(payload));
+    frame.resize(FrameHeader::kSize);
     frame.insert(frame.end(), payload.begin(), payload.end());
-    return frame;
+    return seal_frame(std::move(frame), type, request_id, version);
 }
 
 void FrameAssembler::migrate(std::size_t cap) {

@@ -140,15 +140,12 @@ struct AssessService::Impl {
                 // half-open worker probes with a single request.
                 const std::size_t cap =
                     half_open ? 1 : std::max<std::size_t>(config.max_batch, 1);
-                if (config.coalesce) {
-                    for (auto it = queue.begin();
-                         it != queue.end() && batch.size() < cap;) {
-                        if ((*it)->req.orig.dims() == dims) {
-                            batch.push_back(std::move(*it));
-                            it = queue.erase(it);
-                        } else {
-                            ++it;
-                        }
+                for (auto it = queue.begin(); it != queue.end() && batch.size() < cap;) {
+                    if ((*it)->req.orig.dims() == dims) {
+                        batch.push_back(std::move(*it));
+                        it = queue.erase(it);
+                    } else {
+                        ++it;
                     }
                 }
                 inflight += batch.size();
@@ -246,7 +243,9 @@ struct AssessService::Impl {
             try {
                 AssessResponse r;
                 r.rejected = true;
-                r.error = "internal error: request abandoned";
+                // <= 15 chars: fits std::string's small buffer, so it cannot
+                // throw bad_alloc (what likely brought us here) and drop done.
+                r.error = "internal error";
                 impl.complete(p, std::move(r), Outcome::kRejected);
             } catch (...) {  // the guard must never throw
             }

@@ -20,10 +20,8 @@ struct ServiceConfig {
     std::size_t devices = 1;
     /// Result-cache entries; 0 disables caching.
     std::size_t cache_capacity = 128;
-    /// Max requests coalesced into one upload epoch.
+    /// Max requests coalesced into one upload epoch (1 = no coalescing).
     std::size_t max_batch = 16;
-    /// Coalesce same-shape requests onto one device/buffer epoch.
-    bool coalesce = true;
     /// Admission control: submissions beyond this queue depth are rejected
     /// immediately (the response has rejected=true). 0 = unlimited.
     std::size_t max_queue_depth = 0;

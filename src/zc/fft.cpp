@@ -9,7 +9,8 @@ namespace cuzc::zc {
 
 namespace {
 
-[[nodiscard]] bool is_pow2(std::size_t n) { return n != 0 && (n & (n - 1)) == 0; }
+// Only asserts call it, and NDEBUG compiles those out.
+[[maybe_unused]] bool is_pow2(std::size_t n) { return n != 0 && (n & (n - 1)) == 0; }
 
 [[nodiscard]] std::size_t pow2_floor(std::size_t n) {
     std::size_t p = 1;

@@ -234,8 +234,9 @@ public:
         s->adopted = std::move(v);
         s->mem = reinterpret_cast<std::uint8_t*>(s->adopted.data());
         s->cap = s->adopted.size() * sizeof(float);
-        slab_ = SlabHandle(s);
+        // ptr_ first: reading `s` after slab_ adopts it trips GCC 12's -Wuse-after-free.
         ptr_ = s->adopted.data();
+        slab_ = SlabHandle(s);
     }
 
     /// Copy a Field's samples into an aligned slab (counted).

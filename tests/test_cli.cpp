@@ -205,15 +205,15 @@ TEST_F(CliFixture, ParserHandlesServeAndThreads) {
     EXPECT_FALSE(parse({"--replay=t.trace"}));            // --replay needs serve
     EXPECT_FALSE(parse({"serve", "--replay=t", "--threads=0"}));
     EXPECT_FALSE(parse({"serve", "--replay=t", "--batch=0"}));
+    EXPECT_FALSE(parse({"serve", "--replay=t", "--no-coalesce"}));  // removed: use --batch=1
     const auto opt = parse({"serve", "--replay=t.trace", "--devices=3", "--cache=7",
-                            "--batch=5", "--no-coalesce", "--threads=2"});
+                            "--batch=5", "--threads=2"});
     ASSERT_TRUE(opt);
     EXPECT_TRUE(opt->serve_mode);
     EXPECT_EQ(opt->replay_path, "t.trace");
     EXPECT_EQ(opt->devices, 3u);
     EXPECT_EQ(opt->cache_capacity, 7u);
     EXPECT_EQ(opt->max_batch, 5u);
-    EXPECT_FALSE(opt->coalesce);
     EXPECT_EQ(opt->threads, 2u);
 }
 

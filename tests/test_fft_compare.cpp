@@ -45,7 +45,9 @@ TEST(Fft, PureToneConcentratesAtItsFrequency) {
     // (tolerances bounded by the float32 input quantization).
     EXPECT_NEAR(amp[kFreq], 0.5, 1e-6);
     for (std::size_t k = 0; k < amp.size(); ++k) {
-        if (k != kFreq) EXPECT_LT(amp[k], 1e-6) << "leakage at " << k;
+        if (k != kFreq) {
+            EXPECT_LT(amp[k], 1e-6) << "leakage at " << k;
+        }
     }
 }
 
@@ -139,7 +141,9 @@ TEST(Compare, InfinitePsnrBeatsFinite) {
     b.reduction.psnr_db = 80.0;
     const auto c = zc::compare_reports(a, b);
     for (const auto& m : c.metrics) {
-        if (m.metric == "psnr_db") EXPECT_EQ(m.winner, 1);
+        if (m.metric == "psnr_db") {
+            EXPECT_EQ(m.winner, 1);
+        }
     }
 }
 

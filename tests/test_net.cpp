@@ -13,12 +13,15 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
+#include <cerrno>
 #include <chrono>
 #include <cstdint>
 #include <cstring>
 #include <optional>
 #include <span>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <utility>
@@ -26,6 +29,7 @@
 
 #include "cuzc/cuzc.hpp"
 #include "net/net.hpp"
+#include "net/socket.hpp"
 #include "serve/serve.hpp"
 #include "test_helpers.hpp"
 #include "zc/zc.hpp"
@@ -287,6 +291,159 @@ TEST(NetWire, HelloHandshakeValidatesProtocolName) {
     const auto back = net::decode_hello_ack(net::encode_hello_ack(ack));
     EXPECT_EQ(back.max_frame_payload, 123u);
     EXPECT_EQ(back.max_inflight_per_connection, 7u);
+}
+
+// --- Transport (FrameSocket over a socketpair) --------------------------
+
+/// Connected nonblocking AF_UNIX stream pair, each end owned by a
+/// FrameSocket accepting payloads up to `max_payload`.
+std::pair<net::FrameSocket, net::FrameSocket> socket_pair(std::size_t max_payload) {
+    int sv[2] = {-1, -1};
+    if (::socketpair(AF_UNIX, SOCK_STREAM, 0, sv) != 0) throw std::runtime_error("socketpair");
+    net::set_nonblocking(sv[0]);
+    net::set_nonblocking(sv[1]);
+    return {net::FrameSocket(sv[0], max_payload), net::FrameSocket(sv[1], max_payload)};
+}
+
+std::vector<std::uint8_t> patterned(std::size_t n, std::uint64_t seed) {
+    std::vector<std::uint8_t> v(n);
+    for (std::size_t i = 0; i < n; ++i) v[i] = static_cast<std::uint8_t>(i * 131 + seed * 17);
+    return v;
+}
+
+TEST(NetSocket, PartialSendsDeliverManyFramesByteExactInOrder) {
+    auto [tx, rx] = socket_pair(1 << 20);
+    const int small = 4096;  // the kernel doubles it; still far below the queue
+    ASSERT_EQ(::setsockopt(tx.fd(), SOL_SOCKET, SO_SNDBUF, &small, sizeof(small)), 0);
+
+    // 80 header-sized frames first (more than one 64-iovec sendmsg), then
+    // a mix of sizes up to several times the send buffer.
+    std::vector<std::vector<std::uint8_t>> payloads;
+    for (std::size_t i = 0; i < 80; ++i) payloads.push_back(patterned(i % 3, i));
+    const std::size_t mix[] = {1, 300, 5000, 70000, 9, 20000};
+    for (std::size_t i = 0; i < 60; ++i) payloads.push_back(patterned(mix[i % 6], 80 + i));
+
+    std::vector<std::size_t> frame_ends;  // cumulative wire offsets
+    std::size_t total = 0;
+    for (std::size_t i = 0; i < payloads.size(); ++i) {
+        auto frame = net::encode_frame(net::FrameType::kRequest, i, payloads[i]);
+        total += frame.size();
+        frame_ends.push_back(total);
+        tx.queue(std::move(frame));
+    }
+    ASSERT_EQ(tx.queued_bytes(), total);
+
+    std::size_t sent = 0, flushes = 0, mid_frame_stops = 0, next = 0;
+    while (next < payloads.size()) {
+        ASSERT_LT(++flushes, 100000u) << "transfer stalled at frame " << next;
+        const net::FrameSocket::Io out = tx.flush();
+        ASSERT_EQ(out.error, 0);
+        if (flushes == 1) {
+            // The 80 small frames fit the send buffer: one flush() took
+            // them all, across more than one sendmsg().
+            EXPECT_GE(out.bytes, frame_ends[79]);
+            EXPECT_LT(out.bytes, total);  // ...but not the whole queue
+        }
+        sent += out.bytes;
+        EXPECT_EQ(tx.queued_bytes(), total - sent);
+        if (tx.queued_bytes() > 0 &&
+            !std::binary_search(frame_ends.begin(), frame_ends.end(), sent)) {
+            ++mid_frame_stops;
+        }
+        const net::FrameSocket::Io in = rx.receive();
+        ASSERT_EQ(in.error, 0);
+        ASSERT_FALSE(in.eof);
+        for (;;) {
+            auto res = rx.inbound().next();
+            if (res.status == net::FrameAssembler::Status::kNeedMore) break;
+            ASSERT_EQ(res.status, net::FrameAssembler::Status::kFrame);
+            ASSERT_LT(next, payloads.size());
+            EXPECT_EQ(res.header.request_id, next);
+            EXPECT_EQ(res.payload, payloads[next]) << "frame " << next;
+            ++next;
+        }
+    }
+    EXPECT_EQ(sent, total);
+    EXPECT_EQ(tx.queued_bytes(), 0u);
+    EXPECT_GT(mid_frame_stops, 0u) << "no partial send landed inside a frame";
+}
+
+TEST(NetSocket, ReceiveHonoursPassAndReadBufferCaps) {
+    constexpr std::size_t kChunk = net::FrameSocket::kRecvChunk;
+    // ~1 KiB frames, as many as the kernel takes: returns the bytes sent,
+    // several recv chunks' worth.
+    const auto queue_small_frames = [](net::FrameSocket& tx) {
+        for (std::size_t i = 0; i < 150; ++i) {
+            tx.queue(net::encode_frame(net::FrameType::kRequest, i, patterned(1000, i)));
+        }
+        const std::size_t sent = tx.flush().bytes;
+        EXPECT_GT(sent, 2 * kChunk);
+        return sent;
+    };
+    {  // Pass cap: one byte allowed means exactly one recv() per call.
+        auto [tx, rx] = socket_pair(1 << 20);
+        const std::size_t total = queue_small_frames(tx);
+        std::size_t got = 0, calls = 0;
+        while (got < total) {
+            const net::FrameSocket::Io io = rx.receive(1);
+            ASSERT_EQ(io.error, 0);
+            ASSERT_GT(io.bytes, 0u);
+            EXPECT_LE(io.bytes, kChunk);
+            got += io.bytes;
+            ++calls;
+        }
+        EXPECT_EQ(got, total);
+        EXPECT_GE(calls, (total + kChunk - 1) / kChunk);
+        // Without a pass cap the same traffic goes in one call.
+        auto [tx2, rx2] = socket_pair(1 << 20);
+        EXPECT_EQ(rx2.receive().bytes, 0u);  // nothing sent yet
+        const std::size_t total2 = queue_small_frames(tx2);
+        EXPECT_EQ(rx2.receive().bytes, total2);
+    }
+    {  // Read-buffer cap: stop once a complete head frame reaches the cap.
+        auto [tx, rx] = socket_pair(1 << 20);
+        const std::size_t total = queue_small_frames(tx);
+        const net::FrameSocket::Io io = rx.receive(SIZE_MAX, 2000);
+        ASSERT_EQ(io.error, 0);
+        EXPECT_GT(io.bytes, 0u);
+        EXPECT_LE(io.bytes, kChunk);
+        EXPECT_LT(io.bytes, total);
+        EXPECT_FALSE(rx.may_buffer_more(2000));
+        EXPECT_EQ(rx.inbound().buffered(), io.bytes);
+    }
+    {  // ...but it is soft: an in-limit head frame above it still completes.
+        auto [tx, rx] = socket_pair(1 << 20);
+        const auto payload = patterned(3 * kChunk, 5);
+        tx.queue(net::encode_frame(net::FrameType::kRequest, 1, payload));
+        tx.queue(net::encode_frame(net::FrameType::kRequest, 2, patterned(10, 6)));
+        ASSERT_GT(tx.flush().bytes, kChunk);
+        const net::FrameSocket::Io first = rx.receive(SIZE_MAX, 2000);
+        ASSERT_EQ(first.error, 0);
+        EXPECT_GT(first.bytes, kChunk);  // kept reading past the cap
+        std::size_t got = first.bytes;
+        for (int spins = 0; got < net::FrameHeader::kSize + payload.size(); ++spins) {
+            ASSERT_LT(spins, 100000) << "head frame never completed";
+            ASSERT_EQ(tx.flush().error, 0);
+            const net::FrameSocket::Io io = rx.receive(SIZE_MAX, 2000);
+            ASSERT_EQ(io.error, 0);
+            got += io.bytes;
+        }
+        // Once the head frame is whole, the cap applies again.
+        EXPECT_FALSE(rx.may_buffer_more(2000));
+        auto res = rx.inbound().next();
+        ASSERT_EQ(res.status, net::FrameAssembler::Status::kFrame);
+        EXPECT_EQ(res.payload, payload);
+        ASSERT_EQ(tx.flush().error, 0);
+        ASSERT_EQ(tx.queued_bytes(), 0u);
+        tx.close();
+        net::FrameSocket::Io io;
+        for (int spins = 0; !io.eof; ++spins) {
+            ASSERT_LT(spins, 100000) << "no EOF after the peer closed";
+            io = rx.receive();
+            ASSERT_EQ(io.error, 0);
+        }
+        EXPECT_EQ(rx.inbound().next().header.request_id, 2u);
+    }
 }
 
 // --- Loopback end-to-end ------------------------------------------------
@@ -655,6 +812,79 @@ TEST(NetServer, PreHandshakeCorruptFrameClosesWithoutResponse) {
     EXPECT_TRUE(peer_closed(fd, 5000)) << "expected a close, not a reject frame";
     ::close(fd);
     EXPECT_GE(server.telemetry().frames_rejected, 1u);
+}
+
+TEST(NetServer, SlowClientIsDisconnected) {
+    // A peer that pipelines requests and never reads its responses: once
+    // the kernel buffers are full, the responses queue on the server past
+    // max_write_buffer and the server drops the connection. Requests still
+    // in flight then settle as failed, and the ledger drains.
+    auto cfg = loopback_config();
+    cfg.max_write_buffer = 1;
+    cfg.socket_buffer_bytes = 4096;
+    cfg.service.cache_capacity = 0;  // every request runs the kernels
+    net::NetServer server(cfg);
+    server.start();
+
+    const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+    ASSERT_GE(fd, 0);
+    const int small = 4096;  // a small window, so the server's sends back up
+    ::setsockopt(fd, SOL_SOCKET, SO_RCVBUF, &small, sizeof(small));
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    addr.sin_port = htons(server.port());
+    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+    ASSERT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)), 0);
+    net::set_nonblocking(fd);
+
+    // Small requests: dozens arrive per read pass, far faster than the
+    // service answers them, so some are always in flight at the drop.
+    std::vector<std::vector<std::uint8_t>> frames;
+    for (std::uint64_t s = 0; s < 8; ++s) {
+        serve::AssessRequest req;
+        req.orig = tst::smooth_field({6, 6, 6}, 500 + s);
+        req.dec = tst::perturbed(req.orig, 0.01, 600 + s);
+        req.cfg.ssim_window = 4;
+        frames.push_back(net::encode_request_frame(req, s + 1));
+    }
+    std::vector<std::uint8_t> out =
+        net::encode_frame(net::FrameType::kHello, 0, net::encode_hello());
+    std::size_t off = 0, sent_frames = 0;
+    bool disconnected = false;
+    const auto t0 = std::chrono::steady_clock::now();
+    while (!disconnected && std::chrono::steady_clock::now() - t0 < std::chrono::seconds(30)) {
+        if (off == out.size()) {
+            out = frames[sent_frames++ % frames.size()];
+            off = 0;
+        }
+        const ssize_t n = ::send(fd, out.data() + off, out.size() - off, MSG_NOSIGNAL);
+        if (n > 0) {
+            off += static_cast<std::size_t>(n);
+        } else if (errno == EAGAIN || errno == EWOULDBLOCK) {
+            pollfd p{fd, POLLOUT, 0};
+            (void)::poll(&p, 1, 50);
+            // A reset shows up as POLLERR / POLLHUP before send() fails.
+            disconnected = (p.revents & (POLLERR | POLLHUP)) != 0;
+        } else if (errno != EINTR) {
+            disconnected = true;  // EPIPE / ECONNRESET: the server hung up
+        }
+    }
+    ::close(fd);
+    ASSERT_TRUE(disconnected) << "the server never dropped a client that does not read";
+
+    serve::NetTelemetry tele = server.telemetry();
+    while (tele.requests_in_flight > 0 &&
+           std::chrono::steady_clock::now() - t0 < std::chrono::seconds(60)) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(5));
+        tele = server.telemetry();
+    }
+    EXPECT_EQ(tele.check_drained(), serve::Violations{});
+    EXPECT_EQ(tele.connections_closed, 1u);
+    EXPECT_EQ(tele.connections_active, 0u);
+    EXPECT_GT(tele.requests_accepted, 0u);
+    // The responses that completed after the disconnect had no peer left.
+    EXPECT_GT(tele.requests_failed, 0u)
+        << tele.requests_accepted << " accepted, " << tele.requests_completed << " delivered";
 }
 
 TEST(NetServer, TelemetryReconcilesUnderFaultInjection) {

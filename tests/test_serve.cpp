@@ -174,7 +174,7 @@ TEST(Serve, CoalescesSameShapeRequestsOntoOneEpoch) {
 TEST(Serve, CoalesceOffProcessesOneAtATime) {
     serve::ServiceConfig cfg;
     cfg.start_paused = true;
-    cfg.coalesce = false;
+    cfg.max_batch = 1;
     cfg.cache_capacity = 0;
     serve::AssessService service(cfg);
     std::vector<std::future<serve::AssessResponse>> futures;
@@ -580,7 +580,6 @@ TEST(ServeFaults, BreakerOpensAfterThresholdAndClosesOnProbe) {
     cfg.breaker_threshold = 2;
     cfg.breaker_cooldown_s = 5e-3;
     cfg.max_batch = 1;  // one request per batch so failures count one by one
-    cfg.coalesce = false;
     serve::AssessService service(cfg);
     EXPECT_TRUE(service.submit(make_request(31)).get().rejected);
     EXPECT_TRUE(service.submit(make_request(32)).get().rejected);

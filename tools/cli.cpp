@@ -71,7 +71,7 @@ std::string usage() {
            "            [--config=zc.cfg] [--format=text|csv|json|html] [--out=report]\n"
            "            [--devices=N] [--threads=N] [--profile]\n"
            "       cuzc serve --replay=TRACE [--devices=N] [--cache=N] [--batch=N]\n"
-           "            [--no-coalesce] [--threads=N] [--out=report.json]\n"
+           "            [--threads=N] [--out=report.json]\n"
            "            [--timeout=SECONDS] [--shard-threshold=SECONDS] [--faults=SPEC]\n"
            "       cuzc serve --listen=PORT [--port-file=PATH] [service flags as above]\n"
            "       cuzc replay --connect=HOST:PORT --replay=TRACE [--stream-chunk=N]\n"
@@ -175,8 +175,6 @@ std::optional<CliOptions> parse_cli(int argc, const char* const* argv, std::ostr
                 err << "cuzc: --batch must be a positive integer\n";
                 return std::nullopt;
             }
-        } else if (std::strcmp(a, "--no-coalesce") == 0) {
-            opt.coalesce = false;
         } else if (const char* v13 = value_of(a, "--timeout=")) {
             if (!io::parse_num(std::string_view(v13), opt.request_timeout_s) ||
                 opt.request_timeout_s < 0) {
@@ -434,7 +432,6 @@ void write_replay_json(std::ostream& os, const CliOptions& opt, const ReplaySumm
     scfg.devices = opt.devices;
     scfg.cache_capacity = opt.cache_capacity;
     scfg.max_batch = opt.max_batch;
-    scfg.coalesce = opt.coalesce;
     scfg.request_timeout_s = opt.request_timeout_s;
     scfg.shard_threshold_s = opt.shard_threshold_s;
     // Fault injection: explicit --faults wins, otherwise CUZC_FAULTS.

@@ -33,7 +33,6 @@ struct CliOptions {
     std::string replay_path;
     std::size_t cache_capacity = 128;
     std::size_t max_batch = 16;
-    bool coalesce = true;
     /// Per-request wall-clock ceiling in seconds (--timeout=); 0 = none.
     double request_timeout_s = 0;
     /// Modeled-cost threshold (device-seconds) above which the service
@@ -100,7 +99,7 @@ struct CliOptions {
 ///
 /// Subcommand `cuzc serve --replay=TRACE` replays a workload trace through
 /// the in-process assessment service; extra flags:
-///   --devices=N --cache=N --batch=N --no-coalesce --out=PATH
+///   --devices=N --cache=N --batch=N --out=PATH
 ///   --timeout=SECONDS              per-request wall-clock ceiling
 ///   --faults=SPEC                  deterministic fault injection, e.g.
 ///                                  "seed=7,kernel=0.1,alloc=0.05" (see

@@ -130,7 +130,7 @@ std::vector<std::string> random_valid_line(fuzz::Rng& rng) {
             std::vector<std::string> args = {"serve", "--replay=trace.txt"};
             if (rng.chance(0.5)) args.push_back("--cache=" + std::to_string(rng.below(256)));
             if (rng.chance(0.5)) args.push_back("--timeout=" + std::to_string(rng.range(1, 9)));
-            if (rng.chance(0.3)) args.push_back("--no-coalesce");
+            if (rng.chance(0.3)) args.push_back("--batch=1");
             return args;
         }
         case 2:
